@@ -432,8 +432,9 @@ pub struct SystemConfig {
     pub verify_values: bool,
     /// When true (the default), the machines use direct execution: a
     /// node's CPU keeps running guaranteed-local work inline past the
-    /// scheduling quantum whenever the event queue proves nothing can
-    /// interact with it (see `EventQueue::safe_horizon`). Purely a
+    /// scheduling quantum while every pending event lies strictly after
+    /// its clock (the event-frontier rule on `EventQueue::peek_time`), so
+    /// nothing can interact with it meanwhile. Purely a
     /// simulator-speed knob — reported cycles and statistics are
     /// identical either way; equivalence tests pin that by toggling it.
     pub direct_execution: bool,

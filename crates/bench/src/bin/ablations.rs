@@ -33,6 +33,7 @@
 use std::time::Instant;
 
 use tt_base::table::Table;
+use tt_bench::cli;
 use tt_bench::json::PointRecord;
 use tt_bench::{
     build_app, min_of_runs, par, run_system_min, sync_for, RunOutcome, System,
@@ -54,7 +55,8 @@ fn record(point: String, system: &str, out: &RunOutcome) -> PointRecord {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = tt_bench::parse_cli(&args, 16);
+    let usage = format!("ablations {}", cli::SHARED_FLAGS);
+    let cli = cli::or_exit(tt_bench::parse_cli(&args, 16), &usage);
     let (scale, nodes, jobs, repeat) = (cli.scale, cli.nodes, cli.jobs, cli.repeat);
     let app = AppId::Em3d;
     let set = DataSet::Small;

@@ -17,6 +17,7 @@
 use std::time::Instant;
 
 use tt_base::table::Table;
+use tt_bench::cli::{self, CliError};
 use tt_bench::json::PointRecord;
 use tt_bench::{RunStats, FIGURE3_POINTS};
 use tt_apps::AppId;
@@ -42,13 +43,13 @@ fn cost_fragment(nodes: usize, cycles: u64, s: &RunStats) -> Option<String> {
 }
 
 /// Parses a comma-separated `--apps` list against the app names.
-fn parse_apps(list: &str) -> Vec<AppId> {
+fn parse_apps(list: &str) -> Result<Vec<AppId>, CliError> {
     list.split(',')
         .map(|name| {
             AppId::ALL
                 .into_iter()
                 .find(|a| a.name().eq_ignore_ascii_case(name.trim()))
-                .unwrap_or_else(|| panic!("--apps: unknown application {name}"))
+                .ok_or_else(|| CliError::Bad(format!("--apps: unknown application {name}")))
         })
         .collect()
 }
@@ -56,16 +57,16 @@ fn parse_apps(list: &str) -> Vec<AppId> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut apps: Vec<AppId> = AppId::ALL.to_vec();
-    let cli = tt_bench::parse_cli_with(&args, 4, &mut |flag, args, i| match flag {
+    let parsed = cli::parse_cli_with(&args, 4, &mut |flag, args, i| match flag {
         "--apps" => {
-            apps = parse_apps(tt_bench::cli::value(args, *i, "--apps"));
+            apps = parse_apps(cli::value(args, *i, "--apps")?)?;
             *i += 2;
+            Ok(())
         }
-        other => panic!(
-            "unknown argument {other}; figure3 adds --apps a,b,... to the \
-             shared harness flags"
-        ),
+        other => Err(cli::unknown(other)),
     });
+    let usage = format!("figure3 {} [--apps a,b,...]", cli::SHARED_FLAGS);
+    let cli = cli::or_exit(parsed, &usage);
     let cfg = cli.config();
     tt_bench::assert_sim_threads_identity(&cfg);
     println!(

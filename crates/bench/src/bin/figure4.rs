@@ -13,12 +13,14 @@
 use std::time::Instant;
 
 use tt_base::table::Table;
+use tt_bench::cli;
 use tt_bench::json::PointRecord;
 use tt_bench::{figure4_sweep_min, FIGURE4_SYSTEMS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = tt_bench::parse_cli(&args, 4);
+    let usage = format!("figure4 {}", cli::SHARED_FLAGS);
+    let cli = cli::or_exit(tt_bench::parse_cli(&args, 4), &usage);
     let cfg = cli.config();
     tt_bench::assert_sim_threads_identity(&cfg);
     println!(

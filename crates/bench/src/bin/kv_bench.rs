@@ -106,33 +106,25 @@ fn main() {
         mean_interarrival: 500.0,
         fault_permille: 0,
     };
-    let shared = cli::parse_cli_with(&args, 1, &mut |flag, args, i| match flag {
-        "--keys" => {
-            kv.keys = cli::number(args, *i, "--keys") as u64;
-            *i += 2;
+    let parsed = cli::parse_cli_with(&args, 1, &mut |flag, args, i| {
+        let n = || cli::number(args, *i, flag);
+        match flag {
+            "--keys" => kv.keys = n()? as u64,
+            "--requests" => kv.requests_per_node = n()? as u64,
+            "--value-words" => kv.value_words = n()?.max(1),
+            "--interarrival" => kv.mean_interarrival = n()?.max(1) as f64,
+            "--fault-rate" => kv.fault_permille = n()?.min(500) as u32,
+            other => return Err(cli::unknown(other)),
         }
-        "--requests" => {
-            kv.requests_per_node = cli::number(args, *i, "--requests") as u64;
-            *i += 2;
-        }
-        "--value-words" => {
-            kv.value_words = cli::number(args, *i, "--value-words").max(1);
-            *i += 2;
-        }
-        "--interarrival" => {
-            kv.mean_interarrival = cli::number(args, *i, "--interarrival").max(1) as f64;
-            *i += 2;
-        }
-        "--fault-rate" => {
-            kv.fault_permille = cli::number(args, *i, "--fault-rate").min(500) as u32;
-            *i += 2;
-        }
-        other => panic!(
-            "unknown argument {other}; kv_bench adds --keys N | --requests N \
-             | --value-words N | --interarrival CYCLES | --fault-rate PERMILLE \
-             to the shared flags"
-        ),
+        *i += 2;
+        Ok(())
     });
+    let usage = format!(
+        "kv_bench {} [--keys N] [--requests N] [--value-words N] \
+         [--interarrival CYCLES] [--fault-rate PERMILLE]",
+        cli::SHARED_FLAGS
+    );
+    let shared = cli::or_exit(parsed, &usage);
     let mut cfg = shared.config();
     let faulty = kv.fault_permille > 0;
     if faulty {

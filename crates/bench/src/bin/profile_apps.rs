@@ -6,7 +6,8 @@ use tt_apps::AppId;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale, nodes) = tt_bench::parse_args(&args, 16);
+    let usage = format!("profile_apps {}", tt_bench::cli::SHARED_FLAGS);
+    let (scale, nodes) = tt_bench::cli::or_exit(tt_bench::parse_args(&args, 16), &usage);
     let cfg = bench_config(nodes);
     for app in AppId::ALL {
         for (set, cache) in FIGURE3_POINTS {

@@ -85,30 +85,57 @@ impl Cli {
     }
 }
 
+/// Usage text for the flags every harness binary shares.
+pub const SHARED_FLAGS: &str = "[--scale N] [--nodes N] [--jobs N] [--repeat N] \
+     [--sim-threads N] [--sim-shards N] [--window-policy fixed|adaptive] \
+     [--topology ideal|mesh[:W]|fat-tree[:A]] [--json PATH] [--full]";
+
+/// Why a command line was rejected.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` or `-h`: the caller asked for the usage text.
+    Help,
+    /// A bad flag or value, with a message naming it.
+    Bad(String),
+}
+
+/// A binary's parser for its own flags (see [`parse_cli_with`]).
+pub type FlagHook<'a> = dyn FnMut(&str, &[String], &mut usize) -> Result<(), CliError> + 'a;
+
+/// The error for a flag no parser recognizes.
+pub fn unknown(flag: &str) -> CliError {
+    CliError::Bad(format!("unknown argument {flag}"))
+}
+
+/// Unwraps a parsed command line. On `--help` or a bad argument, prints
+/// the error (if any) and `usage` to stderr and exits with status 2.
+pub fn or_exit<T>(parsed: Result<T, CliError>, usage: &str) -> T {
+    parsed.unwrap_or_else(|e| {
+        if let CliError::Bad(msg) = e {
+            eprintln!("error: {msg}");
+        }
+        eprintln!("usage: {usage}");
+        std::process::exit(2)
+    })
+}
+
 /// Parses `--scale N`, `--nodes N`, `--full`, `--jobs N`, `--repeat N`,
 /// `--sim-threads N`, `--sim-shards N`, `--window-policy fixed|adaptive`,
 /// `--topology ideal|mesh[:W]|fat-tree[:A]`, and `--json PATH` arguments
-/// shared by the harness binaries.
-pub fn parse_cli(args: &[String], default_scale: usize) -> Cli {
-    parse_cli_with(args, default_scale, &mut |flag, _, _| {
-        panic!(
-            "unknown argument {flag}; use --scale N | --nodes N | --jobs N \
-             | --repeat N | --sim-threads N | --sim-shards N \
-             | --window-policy fixed|adaptive \
-             | --topology ideal|mesh[:W]|fat-tree[:A] | --json PATH | --full"
-        )
-    })
+/// shared by the harness binaries ([`SHARED_FLAGS`]).
+pub fn parse_cli(args: &[String], default_scale: usize) -> Result<Cli, CliError> {
+    parse_cli_with(args, default_scale, &mut |flag, _, _| Err(unknown(flag)))
 }
 
 /// [`parse_cli`] with a hook for binary-specific flags: `extra` is
 /// called with `(flag, args, &mut i)` for any argument the shared
 /// parser does not recognize and must consume it (advancing `i` past
-/// the flag and its value) or panic with a usage message.
+/// the flag and its value) or return an error, typically [`unknown`].
 pub fn parse_cli_with(
     args: &[String],
     default_scale: usize,
-    extra: &mut dyn FnMut(&str, &[String], &mut usize),
-) -> Cli {
+    extra: &mut FlagHook<'_>,
+) -> Result<Cli, CliError> {
     let mut cli = Cli {
         scale: default_scale,
         nodes: 32,
@@ -123,44 +150,45 @@ pub fn parse_cli_with(
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            "--help" | "-h" => return Err(CliError::Help),
             "--scale" => {
-                cli.scale = number(args, i, "--scale");
+                cli.scale = number(args, i, "--scale")?;
                 i += 2;
             }
             "--nodes" => {
-                cli.nodes = number(args, i, "--nodes");
+                cli.nodes = number(args, i, "--nodes")?;
                 i += 2;
             }
             "--jobs" => {
-                cli.jobs = number(args, i, "--jobs");
+                cli.jobs = number(args, i, "--jobs")?;
                 i += 2;
             }
             "--repeat" => {
-                cli.repeat = number(args, i, "--repeat").max(1);
+                cli.repeat = number(args, i, "--repeat")?.max(1);
                 i += 2;
             }
             "--sim-threads" => {
-                cli.sim_threads = number(args, i, "--sim-threads").max(1);
+                cli.sim_threads = number(args, i, "--sim-threads")?.max(1);
                 i += 2;
             }
             "--sim-shards" => {
-                cli.sim_shards = number(args, i, "--sim-shards");
+                cli.sim_shards = number(args, i, "--sim-shards")?;
                 i += 2;
             }
             "--window-policy" => {
-                cli.window_policy = value(args, i, "--window-policy")
+                cli.window_policy = value(args, i, "--window-policy")?
                     .parse()
-                    .unwrap_or_else(|e| panic!("--window-policy: {e}"));
+                    .map_err(|e| CliError::Bad(format!("--window-policy: {e}")))?;
                 i += 2;
             }
             "--topology" => {
-                cli.topology = value(args, i, "--topology")
+                cli.topology = value(args, i, "--topology")?
                     .parse()
-                    .unwrap_or_else(|e| panic!("--topology: {e}"));
+                    .map_err(|e| CliError::Bad(format!("--topology: {e}")))?;
                 i += 2;
             }
             "--json" => {
-                cli.json = Some(std::path::PathBuf::from(value(args, i, "--json")));
+                cli.json = Some(std::path::PathBuf::from(value(args, i, "--json")?));
                 i += 2;
             }
             "--full" => {
@@ -169,32 +197,32 @@ pub fn parse_cli_with(
             }
             other => {
                 let before = i;
-                extra(other, args, &mut i);
+                extra(other, args, &mut i)?;
                 assert!(i > before, "extra-flag hook must consume {other}");
             }
         }
     }
-    cli
+    Ok(cli)
 }
 
-/// The value following flag position `i`, or a usage panic.
-pub fn value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
+/// The value following flag position `i`.
+pub fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, CliError> {
     args.get(i + 1)
-        .unwrap_or_else(|| panic!("{flag} requires a value"))
+        .map(String::as_str)
+        .ok_or_else(|| CliError::Bad(format!("{flag} requires a value")))
 }
 
-/// The numeric value following flag position `i`, or a usage panic.
-pub fn number(args: &[String], i: usize, flag: &str) -> usize {
-    value(args, i, flag)
+/// The numeric value following flag position `i`.
+pub fn number(args: &[String], i: usize, flag: &str) -> Result<usize, CliError> {
+    value(args, i, flag)?
         .parse()
-        .unwrap_or_else(|e| panic!("{flag} N: {e}"))
+        .map_err(|e| CliError::Bad(format!("{flag} N: {e}")))
 }
 
 /// Parses `--scale N`, `--nodes N`, `--full` style arguments shared by
 /// the harness binaries. Returns `(scale, nodes)`.
-pub fn parse_args(args: &[String], default_scale: usize) -> (usize, usize) {
-    let cli = parse_cli(args, default_scale);
-    (cli.scale, cli.nodes)
+pub fn parse_args(args: &[String], default_scale: usize) -> Result<(usize, usize), CliError> {
+    parse_cli(args, default_scale).map(|cli| (cli.scale, cli.nodes))
 }
 
 #[cfg(test)]
@@ -211,11 +239,13 @@ mod tests {
         let mut keys = 0usize;
         let cli = parse_cli_with(&args, 1, &mut |flag, args, i| match flag {
             "--keys" => {
-                keys = number(args, *i, "--keys");
+                keys = number(args, *i, "--keys")?;
                 *i += 2;
+                Ok(())
             }
-            other => panic!("unknown argument {other}"),
-        });
+            other => Err(unknown(other)),
+        })
+        .unwrap();
         assert_eq!(cli.nodes, 8);
         assert_eq!(cli.jobs, 2);
         assert_eq!(keys, 512);
@@ -224,7 +254,7 @@ mod tests {
     #[test]
     fn sweep_meta_mirrors_the_cli() {
         let args = strs(&["--sim-threads", "3", "--window-policy", "adaptive"]);
-        let cli = parse_cli(&args, 7);
+        let cli = parse_cli(&args, 7).unwrap();
         let meta = cli.sweep_meta("figX", 1.5);
         assert_eq!(meta.figure, "figX");
         assert_eq!(meta.scale, 7);
@@ -236,9 +266,32 @@ mod tests {
     #[test]
     fn topology_flag_parses_and_reaches_the_config() {
         let args = strs(&["--topology", "mesh:4"]);
-        let cli = parse_cli(&args, 1);
+        let cli = parse_cli(&args, 1).unwrap();
         assert_eq!(cli.topology, Topology::Mesh2D { width: 4 });
         assert_eq!(cli.config().topology, Topology::Mesh2D { width: 4 });
-        assert_eq!(parse_cli(&[], 1).topology, Topology::Ideal);
+        assert_eq!(parse_cli(&[], 1).unwrap().topology, Topology::Ideal);
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_not_panics() {
+        let err = |v: &[&str]| parse_cli(&strs(v), 1).unwrap_err();
+        assert_eq!(err(&["--help"]), CliError::Help);
+        assert_eq!(err(&["--nodes", "8", "-h"]), CliError::Help);
+        assert_eq!(
+            err(&["--bogus"]),
+            CliError::Bad("unknown argument --bogus".into())
+        );
+        assert_eq!(
+            err(&["--jobs"]),
+            CliError::Bad("--jobs requires a value".into())
+        );
+        assert!(matches!(err(&["--jobs", "abc"]), CliError::Bad(m) if m.starts_with("--jobs N")));
+        assert!(
+            matches!(err(&["--topology", "ring"]), CliError::Bad(m) if m.starts_with("--topology"))
+        );
+        assert!(matches!(
+            err(&["--window-policy", "eager"]),
+            CliError::Bad(m) if m.starts_with("--window-policy")
+        ));
     }
 }

@@ -555,21 +555,32 @@ mod tests {
     #[test]
     fn repeat_flag_parses_and_defaults_to_one() {
         let args: Vec<String> = ["--repeat", "5"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_cli(&args, 1).repeat, 5);
-        assert_eq!(parse_cli(&[], 1).repeat, 1);
+        assert_eq!(parse_cli(&args, 1).unwrap().repeat, 5);
+        assert_eq!(parse_cli(&[], 1).unwrap().repeat, 1);
         let zero: Vec<String> = ["--repeat", "0"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_cli(&zero, 1).repeat, 1, "repeat 0 clamps to 1");
+        assert_eq!(
+            parse_cli(&zero, 1).unwrap().repeat,
+            1,
+            "repeat 0 clamps to 1"
+        );
     }
 
     #[test]
     fn sim_threads_flag_parses_and_defaults_to_one() {
         let args: Vec<String> = ["--sim-threads", "4"].iter().map(|s| s.to_string()).collect();
-        let cli = parse_cli(&args, 1);
+        let cli = parse_cli(&args, 1).unwrap();
         assert_eq!(cli.sim_threads, 4);
         assert_eq!(cli.config().sim_threads, 4);
-        assert_eq!(parse_cli(&[], 1).sim_threads, 1);
-        let zero: Vec<String> = ["--sim-threads", "0"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_cli(&zero, 1).sim_threads, 1, "sim-threads 0 clamps to 1");
+        assert_eq!(parse_cli(&[], 1).unwrap().sim_threads, 1);
+        let zero: Vec<String> = ["--sim-threads", "0"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            parse_cli(&zero, 1).unwrap().sim_threads,
+            1,
+            "sim-threads 0 clamps to 1"
+        );
     }
 
     #[test]
@@ -624,9 +635,9 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(parse_args(&args, 1), (8, 16));
-        assert_eq!(parse_args(&[], 4), (4, 32));
+        assert_eq!(parse_args(&args, 1), Ok((8, 16)));
+        assert_eq!(parse_args(&[], 4), Ok((4, 32)));
         let full: Vec<String> = vec!["--full".into()];
-        assert_eq!(parse_args(&full, 16), (1, 32));
+        assert_eq!(parse_args(&full, 16), Ok((1, 32)));
     }
 }

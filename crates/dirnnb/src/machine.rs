@@ -399,8 +399,7 @@ impl DirnnbMachine {
                 verify_values: self.verify_values,
             };
             shard.init_nodes(&mut queue);
-            let home_map = shard.home_map;
-            while let Some((now, event)) = queue.pop(|e: &Event| target_in(home_map, e)) {
+            while let Some((now, event)) = queue.pop() {
                 shard.handle(now, event, &mut queue);
             }
         }
@@ -474,7 +473,6 @@ impl DirnnbMachine {
             for (shard, queue) in shards.iter_mut().zip(queues.iter_mut()) {
                 shard.init_nodes(queue);
             }
-            let home_map: &FxHashMap<Vpn, NodeId> = home_map;
             telemetry = tt_sim::run_windows(
                 &mut shards,
                 &mut queues,
@@ -489,7 +487,6 @@ impl DirnnbMachine {
                 |_shard, queue, at, generation| {
                     queue.deliver_release(at, generation, Event::BarrierRelease { generation })
                 },
-                |e: &Event| target_in(home_map, e),
             )
             .1;
         }

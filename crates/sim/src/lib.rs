@@ -9,6 +9,17 @@
 //! Events scheduled for the same cycle are delivered in scheduling order
 //! (FIFO), which makes every simulation bit-reproducible.
 //!
+//! # Event storage
+//!
+//! The queue's heap is sifted on every schedule and pop, so the bytes
+//! one heap entry occupies are the queue's main cost. Events of at most
+//! 32 bytes (`INLINE_EVENT_BYTES`; DirNNB's 16-byte event, say) sit in the
+//! heap entry itself. Larger events (Typhoon's, which carry a whole
+//! network packet) are parked in a slab with a free list, and the heap
+//! moves only a 24-byte `(time, key, slot)` triple. The choice follows
+//! from `size_of::<E>()`: it is a property of the event type, not a
+//! setting, and both layouts deliver events in the same order.
+//!
 //! # Example
 //!
 //! ```
@@ -54,33 +65,45 @@ pub use pdes::{run_windows, OutMsg, ShardQueue, Windowing, GLOBAL_ORIGIN};
 /// that widened `Entry` by 16 bytes cost DirNNB ~25% wall time).
 const KEY_BITS: u32 = 48;
 
+/// Largest event, in bytes, stored inline in the queue's heap entries;
+/// larger events are parked in a slab (see the crate docs).
+const INLINE_EVENT_BYTES: usize = 32;
+
 /// A pending event: ordering key is `(time, key)`, so same-cycle events
 /// fire in a deterministic scheduler-chosen order. The ordering impls
-/// deliberately ignore the event payload so event types need no `Ord`.
+/// deliberately ignore the payload (the event itself, or its slab slot)
+/// so event types need no `Ord`.
 #[derive(Clone, Debug)]
-struct Entry<E> {
+struct Entry<P> {
     time: Cycles,
     key: u64,
-    event: E,
+    payload: P,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key
+impl<P> Entry<P> {
+    #[inline]
+    fn order(&self) -> (Cycles, u64) {
+        (self.time, self.key)
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl<P> PartialEq for Entry<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.order() == other.order()
+    }
+}
 
-impl<E> PartialOrd for Entry<E> {
+impl<P> Eq for Entry<P> {}
+
+impl<P> PartialOrd for Entry<P> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl<P> Ord for Entry<P> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.key).cmp(&(other.time, other.key))
+        self.order().cmp(&other.order())
     }
 }
 
@@ -102,8 +125,14 @@ enum KeyMode {
 /// two comparisons instead of two `O(log n)` heap operations.
 ///
 /// Invariant: whenever `front` is occupied it orders before every entry
-/// in `heap` (entries are totally ordered by `(time, key)`, so delivery
-/// of same-cycle events follows the key order deterministically).
+/// in the heap (entries are totally ordered by `(time, key)`, so
+/// delivery of same-cycle events follows the key order
+/// deterministically).
+///
+/// Only one of the two heaps is ever used, chosen by the event size (see
+/// the crate docs): `inline` holds small events in place, `parked` holds
+/// slab slots of large ones. The front slot always holds its event in
+/// place.
 ///
 /// # Keys
 ///
@@ -112,48 +141,20 @@ enum KeyMode {
 /// ordering that is independent of *when* an entry was inserted — the
 /// parallel driver in [`pdes`] inserts cross-shard events at window
 /// boundaries, long after their logical scheduling point — supply their
-/// own keys via [`EventQueue::schedule_keyed_at_for`]. The two schemes
-/// must not be mixed in one queue.
-///
-/// # Per-node horizons
-///
-/// Schedulers that know which node an event affects can say so via
-/// [`EventQueue::schedule_at_for`]. With horizon tracking enabled
-/// ([`EventQueue::enable_horizon_tracking`]), the queue maintains the
-/// pending `(time, key)` minima per declared target incrementally — a
-/// small per-target heap pushed on schedule and popped on delivery,
-/// nothing else. The delivery side needs to know the popped entry's
-/// target, which the queue deliberately does not store (keeping a
-/// side-table keyed by entry cost a hash insert/remove per event and
-/// dominated the tracking overhead measured in PR 2); instead the
-/// caller, who can read the target off the event itself, passes it to
-/// [`EventQueue::pop_tracked`]. Two queries are then cheap:
-///
-/// - [`EventQueue::node_horizon`]: the earliest pending event that can
-///   touch a given node (its own events plus untargeted ones), and
-/// - [`EventQueue::safe_horizon`]: the earliest cycle at which *anything*
-///   still in the queue could influence the node, given a minimum
-///   cross-node interaction latency — the bound a WWT-style simulator
-///   may run a node ahead to without violating causality.
-///
-/// Tracking is **off by default** and free when off. The machines'
-/// direct-execution path needs only [`EventQueue::peek_time`]; the
-/// parallel driver leaves tracking on in its shard queues as a causality
-/// cross-check, which the incremental scheme makes affordable.
+/// own keys via [`EventQueue::schedule_keyed_at`]. The two schemes must
+/// not be mixed in one queue.
 #[derive(Clone, Debug)]
 pub struct EventQueue<E> {
     now: Cycles,
     seq: u64,
     scheduled: u64,
     front: Option<Entry<E>>,
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Whether per-node horizon mirrors are maintained.
-    track_horizons: bool,
-    /// Pending `(time, key)` mirrors, one heap per declared target node
-    /// (grown on demand). Empty unless `track_horizons`.
-    tracks: Vec<BinaryHeap<Reverse<(Cycles, u64)>>>,
-    /// Mirror for untargeted (global-effect) events.
-    global_track: BinaryHeap<Reverse<(Cycles, u64)>>,
+    inline: BinaryHeap<Reverse<Entry<E>>>,
+    parked: BinaryHeap<Reverse<Entry<u32>>>,
+    /// Parked events by slot; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slots of `slab`, reused before it grows.
+    free: Vec<u32>,
     /// When set, same-cycle tie-breaking is deterministically permuted by
     /// salting the high bits of each entry's key with a hash of the seed
     /// and the raw key (see [`EventQueue::enable_tie_shuffle`]). `None`
@@ -170,6 +171,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Whether this event type is parked in the slab rather than stored
+    /// in its heap entry.
+    const PARKED: bool = std::mem::size_of::<E>() > INLINE_EVENT_BYTES;
+
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
@@ -177,10 +182,10 @@ impl<E> EventQueue<E> {
             seq: 0,
             scheduled: 0,
             front: None,
-            heap: BinaryHeap::new(),
-            track_horizons: false,
-            tracks: Vec::new(),
-            global_track: BinaryHeap::new(),
+            inline: BinaryHeap::new(),
+            parked: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             shuffle: None,
             key_mode: KeyMode::Unset,
         }
@@ -212,22 +217,6 @@ impl<E> EventQueue<E> {
         self.shuffle = Some(seed);
     }
 
-    /// Turns on per-node horizon tracking (see the struct docs). Must be
-    /// called before any event is scheduled, or the mirrors would miss
-    /// what is already pending. Every pop must then go through
-    /// [`EventQueue::pop_tracked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are already pending.
-    pub fn enable_horizon_tracking(&mut self) {
-        assert!(
-            self.is_empty(),
-            "enable horizon tracking on an empty queue, before scheduling"
-        );
-        self.track_horizons = true;
-    }
-
     /// The current simulated time (the timestamp of the last popped event).
     #[inline]
     pub fn now(&self) -> Cycles {
@@ -253,22 +242,11 @@ impl<E> EventQueue<E> {
     /// Panics if `t` is in the past (`t < self.now()`): the simulation
     /// would no longer be causal.
     pub fn schedule_at(&mut self, t: Cycles, event: E) {
-        self.schedule_at_for(t, None, event);
-    }
-
-    /// Schedules `event` at absolute time `t`, declaring the node whose
-    /// state the event (directly) touches. `None` means the event has
-    /// global effect and counts against every node's horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past (`t < self.now()`).
-    pub fn schedule_at_for(&mut self, t: Cycles, target: Option<usize>, event: E) {
         debug_assert_ne!(self.key_mode, KeyMode::Caller, "queue is caller-keyed");
         self.key_mode = KeyMode::Internal;
         self.seq += 1;
         let key = self.salted(self.seq);
-        self.insert(t, key, target, event);
+        self.insert(t, key, event);
     }
 
     /// Schedules `event` at absolute time `t` under a caller-supplied
@@ -281,43 +259,85 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `t` is in the past (`t < self.now()`).
-    pub fn schedule_keyed_at_for(&mut self, t: Cycles, key: u64, target: Option<usize>, event: E) {
+    pub fn schedule_keyed_at(&mut self, t: Cycles, key: u64, event: E) {
         debug_assert_ne!(self.key_mode, KeyMode::Internal, "queue is internally keyed");
         debug_assert!(key < 1 << KEY_BITS, "event key overflows 48 bits");
         self.key_mode = KeyMode::Caller;
         let key = self.salted(key);
-        self.insert(t, key, target, event);
+        self.insert(t, key, event);
     }
 
-    fn insert(&mut self, t: Cycles, key: u64, target: Option<usize>, event: E) {
+    fn insert(&mut self, t: Cycles, key: u64, event: E) {
         assert!(t >= self.now, "scheduling into the past: {t:?} < {:?}", self.now);
         self.scheduled += 1;
-        if self.track_horizons {
-            match target {
-                Some(node) => {
-                    if node >= self.tracks.len() {
-                        self.tracks.resize_with(node + 1, BinaryHeap::new);
-                    }
-                    self.tracks[node].push(Reverse((t, key)));
-                }
-                None => self.global_track.push(Reverse((t, key))),
-            }
-        }
         let entry = Entry {
             time: t,
             key,
-            event,
+            payload: event,
         };
         match &self.front {
             Some(f) if entry < *f => {
                 let old = std::mem::replace(self.front.as_mut().expect("front present"), entry);
-                self.heap.push(Reverse(old));
+                self.heap_push(old);
             }
-            Some(_) => self.heap.push(Reverse(entry)),
-            None => match self.heap.peek() {
-                Some(Reverse(min)) if *min < entry => self.heap.push(Reverse(entry)),
+            Some(_) => self.heap_push(entry),
+            None => match self.heap_min() {
+                Some(min) if min < entry.order() => self.heap_push(entry),
                 _ => self.front = Some(entry),
             },
+        }
+    }
+
+    /// Pushes an entry onto whichever heap this event type uses.
+    #[inline]
+    fn heap_push(&mut self, entry: Entry<E>) {
+        if Self::PARKED {
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.slab[slot as usize] = Some(entry.payload);
+                    slot
+                }
+                None => {
+                    self.slab.push(Some(entry.payload));
+                    u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+                }
+            };
+            self.parked.push(Reverse(Entry {
+                time: entry.time,
+                key: entry.key,
+                payload: slot,
+            }));
+        } else {
+            self.inline.push(Reverse(entry));
+        }
+    }
+
+    /// Pops the heap's minimum entry, unparking its event.
+    #[inline]
+    fn heap_pop(&mut self) -> Option<Entry<E>> {
+        if Self::PARKED {
+            let Reverse(e) = self.parked.pop()?;
+            let event = self.slab[e.payload as usize]
+                .take()
+                .expect("parked slot is occupied");
+            self.free.push(e.payload);
+            Some(Entry {
+                time: e.time,
+                key: e.key,
+                payload: event,
+            })
+        } else {
+            self.inline.pop().map(|Reverse(e)| e)
+        }
+    }
+
+    /// The `(time, key)` of the heap's minimum entry.
+    #[inline]
+    fn heap_min(&self) -> Option<(Cycles, u64)> {
+        if Self::PARKED {
+            self.parked.peek().map(|Reverse(e)| e.order())
+        } else {
+            self.inline.peek().map(|Reverse(e)| e.order())
         }
     }
 
@@ -326,133 +346,33 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Schedules `event` at `now + delay` for a declared target node.
-    pub fn schedule_after_for(&mut self, delay: Cycles, target: Option<usize>, event: E) {
-        self.schedule_at_for(self.now + delay, target, event);
-    }
-
     /// Removes and returns the earliest event, advancing `now` to its time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if horizon tracking is enabled — the mirrors need the
-    /// popped entry's target; use [`EventQueue::pop_tracked`].
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        assert!(
-            !self.track_horizons,
-            "horizon tracking is on: pop through pop_tracked"
-        );
-        self.pop_tracked(|_| None)
-    }
-
-    /// Removes and returns the earliest event, advancing `now` to its
-    /// time. When horizon tracking is enabled, `target_of` must report
-    /// the same target the entry was scheduled with (machines read it
-    /// off the event itself); it is not called otherwise.
-    pub fn pop_tracked(
-        &mut self,
-        target_of: impl FnOnce(&E) -> Option<usize>,
-    ) -> Option<(Cycles, E)> {
         let e = match self.front.take() {
             Some(e) => e,
-            None => self.heap.pop()?.0,
+            None => self.heap_pop()?,
         };
         debug_assert!(e.time >= self.now);
-        if self.track_horizons {
-            // The popped entry is the global minimum, hence also the
-            // minimum of the track mirroring it.
-            let mirrored = match target_of(&e.event) {
-                Some(node) => self.tracks[node].pop(),
-                None => self.global_track.pop(),
-            };
-            debug_assert_eq!(
-                mirrored.map(|Reverse(k)| k),
-                Some((e.time, e.key)),
-                "track mirrors diverged from the queue"
-            );
-        }
         self.now = e.time;
-        Some((e.time, e.event))
-    }
-
-    /// The earliest pending event that can touch `node`: the minimum over
-    /// events targeted at `node` and untargeted (global) events.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`EventQueue::enable_horizon_tracking`] was called.
-    pub fn node_horizon(&self, node: usize) -> Option<Cycles> {
-        assert!(self.track_horizons, "horizon queries need tracking enabled");
-        let own = self
-            .tracks
-            .get(node)
-            .and_then(|t| t.peek())
-            .map(|Reverse((t, _))| *t);
-        let global = self.global_track.peek().map(|Reverse((t, _))| *t);
-        match (own, global) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// The earliest pending event targeted at any node other than `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`EventQueue::enable_horizon_tracking`] was called.
-    pub fn foreign_horizon(&self, node: usize) -> Option<Cycles> {
-        assert!(self.track_horizons, "horizon queries need tracking enabled");
-        let mut best: Option<Cycles> = None;
-        for (i, track) in self.tracks.iter().enumerate() {
-            if i == node {
-                continue;
-            }
-            if let Some(Reverse((t, _))) = track.peek() {
-                best = Some(best.map_or(*t, |b: Cycles| b.min(*t)));
-            }
-        }
-        best
-    }
-
-    /// The earliest cycle at which anything still pending (or any event
-    /// it later spawns) could influence `node`, assuming every cross-node
-    /// interaction costs at least `cross_latency` cycles from the event
-    /// that initiates it. Work by `node` at cycles strictly below this
-    /// bound cannot observe, and is not observed by, the rest of the
-    /// machine. `None` means nothing pending constrains the node at all.
-    ///
-    /// Soundness: an event already targeted at `node` (or global) acts at
-    /// its own timestamp — that is `node_horizon`. Any *future* event for
-    /// `node` must descend from some currently-pending foreign event, and
-    /// the cross-node step of that chain adds at least `cross_latency`
-    /// after an ancestor whose time is at least `foreign_horizon`.
-    pub fn safe_horizon(&self, node: usize, cross_latency: Cycles) -> Option<Cycles> {
-        let own = self.node_horizon(node);
-        let foreign = self
-            .foreign_horizon(node)
-            .map(|t| Cycles::new(t.raw().saturating_add(cross_latency.raw())));
-        match (own, foreign) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        Some((e.time, e.payload))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycles> {
         match &self.front {
             Some(e) => Some(e.time),
-            None => self.heap.peek().map(|Reverse(e)| e.time),
+            None => self.heap_min().map(|(t, _)| t),
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.front.is_some())
+        self.inline.len() + self.parked.len() + usize::from(self.front.is_some())
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.front.is_none() && self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total events scheduled over the queue's lifetime (for statistics).
@@ -468,14 +388,6 @@ pub trait EventHandler {
 
     /// Handles one event at time `now`, possibly scheduling more.
     fn handle(&mut self, now: Cycles, event: Self::Event, queue: &mut EventQueue<Self::Event>);
-
-    /// The node `event` was scheduled for, mirroring what the scheduler
-    /// declared via [`EventQueue::schedule_at_for`]. Only consulted when
-    /// horizon tracking is on; the default suits untargeted schedulers.
-    fn target(event: &Self::Event) -> Option<usize> {
-        let _ = event;
-        None
-    }
 }
 
 /// Bounds on a [`run`] invocation.
@@ -535,7 +447,7 @@ pub fn run<H: EventHandler>(
                 }
             }
         }
-        let (now, ev) = queue.pop_tracked(H::target).expect("peeked non-empty");
+        let (now, ev) = queue.pop().expect("peeked non-empty");
         handler.handle(now, ev, queue);
         delivered += 1;
     }
@@ -576,7 +488,7 @@ where
                 }
             }
         }
-        let (now, ev) = queue.pop_tracked(H::target).expect("peeked non-empty");
+        let (now, ev) = queue.pop().expect("peeked non-empty");
         let observed = ev.clone();
         handler.handle(now, ev, queue);
         observe(now, &observed, handler);
@@ -587,6 +499,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tt_base::DetRng;
 
     #[derive(Default)]
     struct Recorder {
@@ -597,6 +510,63 @@ mod tests {
         type Event = u32;
         fn handle(&mut self, now: Cycles, ev: u32, _q: &mut EventQueue<u32>) {
             self.seen.push((now.raw(), ev));
+        }
+    }
+
+    /// An event too large to sit in a heap entry: exercises the slab.
+    type Big = [u64; 20];
+
+    /// Event payloads of either storage path, built from and read back
+    /// as a `u32` so one test body covers both.
+    trait Payload: Copy {
+        fn of(v: u32) -> Self;
+        fn id(&self) -> u32;
+    }
+
+    impl Payload for u32 {
+        fn of(v: u32) -> Self {
+            v
+        }
+        fn id(&self) -> u32 {
+            *self
+        }
+    }
+
+    impl Payload for Big {
+        fn of(v: u32) -> Self {
+            let mut b = [u64::from(v); 20];
+            b[19] = !u64::from(v);
+            b
+        }
+        fn id(&self) -> u32 {
+            assert!(self.iter().take(19).all(|&w| w == self[0]), "payload torn");
+            assert_eq!(self[19], !self[0], "payload torn");
+            self[0] as u32
+        }
+    }
+
+    fn drain<P: Payload>(q: &mut EventQueue<P>) -> Vec<(u64, u32)> {
+        let mut out = Vec::new();
+        while let Some((t, e)) = q.pop() {
+            out.push((t.raw(), e.id()));
+        }
+        out
+    }
+
+    #[test]
+    fn storage_follows_the_event_size() {
+        const {
+            assert!(!EventQueue::<u32>::PARKED);
+            assert!(
+                !EventQueue::<[u8; INLINE_EVENT_BYTES]>::PARKED,
+                "the bound is inclusive"
+            );
+            assert!(EventQueue::<[u8; INLINE_EVENT_BYTES + 1]>::PARKED);
+            assert!(EventQueue::<Big>::PARKED);
+            assert!(
+                std::mem::size_of::<Entry<u32>>() == 24,
+                "a parked entry is 24 bytes"
+            );
         }
     }
 
@@ -611,30 +581,43 @@ mod tests {
         assert_eq!(h.seen, vec![(10, 1), (20, 2), (30, 3)]);
     }
 
-    #[test]
-    fn same_cycle_events_are_fifo() {
-        let mut q = EventQueue::new();
+    fn same_cycle_fifo<P: Payload>() {
+        let mut q: EventQueue<P> = EventQueue::new();
         for i in 0..100 {
-            q.schedule_at(Cycles::new(5), i);
+            q.schedule_at(Cycles::new(5), P::of(i));
         }
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::none());
-        let order: Vec<u32> = h.seen.iter().map(|&(_, e)| e).collect();
+        let order: Vec<u32> = drain(&mut q).iter().map(|&(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn caller_keys_order_same_cycle_events_regardless_of_insertion() {
-        let mut q = EventQueue::new();
+    fn same_cycle_events_are_fifo() {
+        same_cycle_fifo::<u32>();
+    }
+
+    #[test]
+    fn same_cycle_parked_events_are_fifo() {
+        same_cycle_fifo::<Big>();
+    }
+
+    fn caller_keys<P: Payload>() {
+        let mut q: EventQueue<P> = EventQueue::new();
         // Inserted out of key order, delivered in key order.
-        q.schedule_keyed_at_for(Cycles::new(5), 30, Some(0), 2);
-        q.schedule_keyed_at_for(Cycles::new(5), 10, Some(1), 0);
-        q.schedule_keyed_at_for(Cycles::new(5), 20, Some(0), 1);
-        let mut seen = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            seen.push(e);
-        }
-        assert_eq!(seen, vec![0, 1, 2]);
+        q.schedule_keyed_at(Cycles::new(5), 30, P::of(2));
+        q.schedule_keyed_at(Cycles::new(5), 10, P::of(0));
+        q.schedule_keyed_at(Cycles::new(5), 20, P::of(1));
+        q.schedule_keyed_at(Cycles::new(4), 40, P::of(9));
+        assert_eq!(drain(&mut q), vec![(4, 9), (5, 0), (5, 1), (5, 2)]);
+    }
+
+    #[test]
+    fn caller_keys_order_same_cycle_events_regardless_of_insertion() {
+        caller_keys::<u32>();
+    }
+
+    #[test]
+    fn caller_keys_order_parked_events_regardless_of_insertion() {
+        caller_keys::<Big>();
     }
 
     #[test]
@@ -679,118 +662,44 @@ mod tests {
         assert_eq!(q.total_scheduled(), 2);
     }
 
-    #[test]
-    fn targeted_and_untargeted_events_interleave_fifo() {
-        let mut q = EventQueue::new();
-        q.schedule_at_for(Cycles::new(5), Some(0), 0);
-        q.schedule_at(Cycles::new(5), 1);
-        q.schedule_at_for(Cycles::new(5), Some(1), 2);
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::none());
-        assert_eq!(h.seen, vec![(5, 0), (5, 1), (5, 2)]);
+    fn shuffled_order<P: Payload>(seed: Option<u64>) -> Vec<u32> {
+        let mut q: EventQueue<P> = EventQueue::new();
+        if let Some(s) = seed {
+            q.enable_tie_shuffle(s);
+        }
+        for i in 0..50 {
+            q.schedule_at(Cycles::new(5), P::of(i));
+        }
+        drain(&mut q).iter().map(|&(_, e)| e).collect()
     }
 
-    /// The recorder tests that pop with tracking on: events 0..n are
-    /// targeted at node `e % 3`.
-    fn pop3(q: &mut EventQueue<u32>) -> Option<(Cycles, u32)> {
-        q.pop_tracked(|e| Some((*e % 3) as usize))
-    }
-
-    #[test]
-    fn node_horizon_sees_own_and_global_events() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        q.schedule_at_for(Cycles::new(30), Some(0), 0);
-        q.schedule_at_for(Cycles::new(10), Some(1), 1);
-        assert_eq!(q.node_horizon(0), Some(Cycles::new(30)));
-        assert_eq!(q.node_horizon(1), Some(Cycles::new(10)));
-        assert_eq!(q.node_horizon(7), None, "untouched node is unconstrained");
-        q.schedule_at(Cycles::new(20), 2); // global: constrains everyone
-        assert_eq!(q.node_horizon(0), Some(Cycles::new(20)));
-        assert_eq!(q.node_horizon(7), Some(Cycles::new(20)));
-    }
-
-    #[test]
-    fn foreign_horizon_excludes_own_and_global() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        q.schedule_at_for(Cycles::new(10), Some(0), 0);
-        q.schedule_at_for(Cycles::new(40), Some(2), 1);
-        q.schedule_at(Cycles::new(5), 2);
-        assert_eq!(q.foreign_horizon(0), Some(Cycles::new(40)));
-        assert_eq!(q.foreign_horizon(2), Some(Cycles::new(10)));
-        assert_eq!(q.foreign_horizon(1), Some(Cycles::new(10)));
-    }
-
-    #[test]
-    fn safe_horizon_pads_foreign_events_by_latency() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        // Event 0 targets node 1; event 1 targets node 0.
-        let target = |e: &u32| Some(if *e == 0 { 1 } else { 0 });
-        q.schedule_at_for(Cycles::new(10), Some(1), 0);
-        // Node 0: nothing own, foreign at 10 + latency 11 = 21.
-        assert_eq!(q.safe_horizon(0, Cycles::new(11)), Some(Cycles::new(21)));
-        // Node 1's own event is not padded.
-        assert_eq!(q.safe_horizon(1, Cycles::new(11)), Some(Cycles::new(10)));
-        q.schedule_at_for(Cycles::new(15), Some(0), 1);
-        assert_eq!(q.safe_horizon(0, Cycles::new(11)), Some(Cycles::new(15)));
-        // Popping restores the mirrors.
-        q.pop_tracked(target);
-        assert_eq!(q.safe_horizon(1, Cycles::new(11)), Some(Cycles::new(26)));
-        q.pop_tracked(target);
-        assert_eq!(q.safe_horizon(1, Cycles::new(11)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "tracking enabled")]
-    fn horizon_queries_require_tracking() {
-        let q: EventQueue<u32> = EventQueue::new();
-        q.node_horizon(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "pop through pop_tracked")]
-    fn plain_pop_rejected_under_tracking() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        q.schedule_at_for(Cycles::new(1), Some(0), 0);
-        q.pop();
-    }
-
-    #[test]
-    #[should_panic(expected = "empty queue")]
-    fn tracking_must_be_enabled_before_scheduling() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_at(Cycles::new(1), 0);
-        q.enable_horizon_tracking();
-    }
-
-    #[test]
-    fn tie_shuffle_permutes_same_cycle_events_deterministically() {
-        let order_with_seed = |seed: Option<u64>| {
-            let mut q = EventQueue::new();
-            if let Some(s) = seed {
-                q.enable_tie_shuffle(s);
-            }
-            for i in 0..50 {
-                q.schedule_at(Cycles::new(5), i);
-            }
-            let mut h = Recorder::default();
-            run(&mut h, &mut q, RunLimit::none());
-            h.seen.iter().map(|&(_, e)| e).collect::<Vec<_>>()
-        };
-        let fifo = order_with_seed(None);
+    fn tie_shuffle<P: Payload>() {
+        let fifo = shuffled_order::<P>(None);
         assert_eq!(fifo, (0..50).collect::<Vec<_>>());
-        let a = order_with_seed(Some(7));
-        let b = order_with_seed(Some(7));
+        let a = shuffled_order::<P>(Some(7));
+        let b = shuffled_order::<P>(Some(7));
         assert_eq!(a, b, "same seed must reproduce the permutation");
         assert_ne!(a, fifo, "seed 7 should permute 50 same-cycle events");
-        let c = order_with_seed(Some(8));
+        let c = shuffled_order::<P>(Some(8));
         assert_ne!(a, c, "different seeds should usually differ");
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, fifo, "shuffling is a permutation, not a loss");
+    }
+
+    #[test]
+    fn tie_shuffle_permutes_same_cycle_events_deterministically() {
+        tie_shuffle::<u32>();
+    }
+
+    #[test]
+    fn tie_shuffle_permutes_parked_events_like_inline_ones() {
+        tie_shuffle::<Big>();
+        assert_eq!(
+            shuffled_order::<Big>(Some(7)),
+            shuffled_order::<u32>(Some(7)),
+            "the storage path does not change the order"
+        );
     }
 
     #[test]
@@ -802,7 +711,7 @@ mod tests {
             let mut q = EventQueue::new();
             q.enable_tie_shuffle(99);
             for &k in keys {
-                q.schedule_keyed_at_for(Cycles::new(5), k, None, k as u32);
+                q.schedule_keyed_at(Cycles::new(5), k, k as u32);
             }
             let mut out = Vec::new();
             while let Some((_, e)) = q.pop() {
@@ -828,25 +737,72 @@ mod tests {
     }
 
     #[test]
-    fn tie_shuffle_keeps_horizon_mirrors_consistent() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        q.enable_tie_shuffle(11);
-        for i in 0..20 {
-            q.schedule_at_for(Cycles::new(5), Some(i % 3), i as u32);
-        }
-        assert_eq!(q.node_horizon(0), Some(Cycles::new(5)));
-        // Popping everything exercises the mirror debug-asserts.
-        while pop3(&mut q).is_some() {}
-        assert_eq!(q.node_horizon(0), None);
-    }
-
-    #[test]
     #[should_panic(expected = "empty queue")]
     fn tie_shuffle_must_be_enabled_before_scheduling() {
         let mut q: EventQueue<u32> = EventQueue::new();
         q.schedule_at(Cycles::new(1), 0);
         q.enable_tie_shuffle(1);
+    }
+
+    /// The self-rescheduling pattern the front slot exists for, mixed
+    /// with background events in the heap: pops stay in `(time, key)`
+    /// order, and a parked queue reuses its slab slots.
+    fn front_slot<P: Payload>() -> (Vec<(u64, u32)>, usize) {
+        let mut q: EventQueue<P> = EventQueue::new();
+        for i in 0..8 {
+            q.schedule_at(Cycles::new(10 * i + 5), P::of(1000 + i as u32));
+        }
+        q.schedule_at(Cycles::ZERO, P::of(0));
+        let mut out = Vec::new();
+        while let Some((t, e)) = q.pop() {
+            out.push((t.raw(), e.id()));
+            if e.id() < 40 {
+                // Successor 3 cycles later: usually the new front.
+                q.schedule_after(Cycles::new(3), P::of(e.id() + 1));
+            }
+        }
+        (out, q.slab.len())
+    }
+
+    #[test]
+    fn front_slot_serves_self_rescheduling_on_both_paths() {
+        let (inline, inline_slab) = front_slot::<u32>();
+        let (parked, parked_slab) = front_slot::<Big>();
+        assert_eq!(inline, parked);
+        assert_eq!(inline.len(), 41 + 8);
+        assert!(inline.windows(2).all(|w| w[0].0 <= w[1].0), "time order");
+        assert_eq!(inline_slab, 0, "small events never touch the slab");
+        assert!(
+            (1..=9).contains(&parked_slab),
+            "slots are reused: slab holds at most the pending count, got {parked_slab}"
+        );
+    }
+
+    /// Random interleavings of timed and same-cycle schedules and pops
+    /// deliver identically through both storage paths.
+    #[test]
+    fn parked_and_inline_queues_agree_on_random_schedules() {
+        for seed in 0..20 {
+            let mut rng = DetRng::new(seed);
+            let mut small: EventQueue<u32> = EventQueue::new();
+            let mut big: EventQueue<Big> = EventQueue::new();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for id in 0..400u32 {
+                if rng.chance(0.4) {
+                    a.extend(small.pop());
+                    b.extend(big.pop().map(|(t, e)| (t, e.id())));
+                }
+                let t = small.now() + Cycles::new(rng.below(6));
+                small.schedule_at(t, id);
+                big.schedule_at(t, Big::of(id));
+                assert_eq!(small.peek_time(), big.peek_time());
+                assert_eq!(small.len(), big.len());
+            }
+            a.extend(std::iter::from_fn(|| small.pop()));
+            b.extend(std::iter::from_fn(|| big.pop().map(|(t, e)| (t, e.id()))));
+            assert_eq!(a, b, "seed {seed}");
+            assert_eq!(a.len(), 400);
+        }
     }
 
     #[test]

@@ -241,11 +241,6 @@ impl<E> ShardQueue<E> {
         self.queue.enable_tie_shuffle(seed);
     }
 
-    /// See [`EventQueue::enable_horizon_tracking`].
-    pub fn enable_horizon_tracking(&mut self) {
-        self.queue.enable_horizon_tracking();
-    }
-
     /// Switches the barrier to inline mode: this shard owns every node,
     /// so the `expected`-th arrival completes the barrier locally and
     /// [`ShardQueue::note_barrier_arrival`] returns the release time
@@ -259,11 +254,6 @@ impl<E> ShardQueue<E> {
             arrived: 0,
             max_arrival: Cycles::ZERO,
         });
-    }
-
-    /// First node this shard owns.
-    pub fn first_node(&self) -> usize {
-        self.first_node
     }
 
     /// Number of nodes this shard owns.
@@ -294,32 +284,12 @@ impl<E> ShardQueue<E> {
         self.queue.is_empty()
     }
 
-    /// Pending local events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total events scheduled into the local queue over its lifetime.
-    pub fn total_scheduled(&self) -> u64 {
-        self.queue.total_scheduled()
-    }
-
     /// Exclusive end of the current window, if running windowed. The
     /// machines' direct-execution guard must keep a CPU's inline run
     /// strictly below this bound.
     #[inline]
     pub fn window_end(&self) -> Option<Cycles> {
         self.window_end
-    }
-
-    /// See [`EventQueue::node_horizon`].
-    pub fn node_horizon(&self, node: usize) -> Option<Cycles> {
-        self.queue.node_horizon(node)
-    }
-
-    /// See [`EventQueue::safe_horizon`].
-    pub fn safe_horizon(&self, node: usize, cross_latency: Cycles) -> Option<Cycles> {
-        self.queue.safe_horizon(node, cross_latency)
     }
 
     fn set_window_end(&mut self, end: Option<Cycles>) {
@@ -390,7 +360,7 @@ impl<E> ShardQueue<E> {
     pub fn schedule_for(&mut self, t: Cycles, target: usize, event: E) {
         let key = self.next_key();
         if self.owns(target) {
-            self.queue.schedule_keyed_at_for(t, key, Some(target), event);
+            self.queue.schedule_keyed_at(t, key, event);
         } else {
             if let Some(win) = self.win {
                 let now = self.queue.now();
@@ -442,7 +412,7 @@ impl<E> ShardQueue<E> {
         );
         self.global_counter += 1;
         let key = pack_key(GLOBAL_ORIGIN, self.global_counter);
-        self.queue.schedule_keyed_at_for(t, key, None, event);
+        self.queue.schedule_keyed_at(t, key, event);
     }
 
     /// Schedules node `node`'s own wakeup under its *reserved* key
@@ -456,19 +426,18 @@ impl<E> ShardQueue<E> {
     pub fn schedule_wakeup(&mut self, t: Cycles, node: usize, event: E) {
         debug_assert!(self.owns(node), "wakeup for a foreign node");
         let key = pack_key(node as u64 + 1, 0);
-        self.queue.schedule_keyed_at_for(t, key, Some(node), event);
+        self.queue.schedule_keyed_at(t, key, event);
     }
 
     /// Pops the earliest local event strictly inside the current window
-    /// (or any pending event when not windowed). `target_of` feeds the
-    /// horizon mirrors, as in [`EventQueue::pop_tracked`].
-    pub fn pop(&mut self, target_of: impl FnOnce(&E) -> Option<usize>) -> Option<(Cycles, E)> {
+    /// (or any pending event when not windowed).
+    pub fn pop(&mut self) -> Option<(Cycles, E)> {
         if let (Some(t), Some(end)) = (self.queue.peek_time(), self.window_end) {
             if t >= end {
                 return None;
             }
         }
-        let popped = self.queue.pop_tracked(target_of);
+        let popped = self.queue.pop();
         // Telemetry: count the *occupied* fixed-quantum buckets this
         // window's pops land in. Empty buckets between pops don't count
         // — a fixed driver re-anchors each window at the current global
@@ -539,8 +508,7 @@ impl<E> ShardQueue<E> {
     /// the sequential heap would have.
     pub fn deliver(&mut self, msg: OutMsg<E>) {
         debug_assert!(self.owns(msg.target), "delivery to a foreign shard");
-        self.queue
-            .schedule_keyed_at_for(msg.time, msg.key, Some(msg.target), msg.event);
+        self.queue.schedule_keyed_at(msg.time, msg.key, msg.event);
     }
 
     /// Inserts the windowed-mode barrier-release event under the exact
@@ -560,7 +528,7 @@ impl<E> ShardQueue<E> {
             "release keys must mirror the sequential global counter"
         );
         let key = pack_key(GLOBAL_ORIGIN, self.global_counter);
-        self.queue.schedule_keyed_at_for(t, key, None, event);
+        self.queue.schedule_keyed_at(t, key, event);
         self.waiting = 0;
     }
 
@@ -670,9 +638,7 @@ struct Shared<E> {
 /// event on a shard (setting the origin via [`ShardQueue::set_origin`]
 /// before the machine handler runs); `release` applies a barrier
 /// release at the given time and generation to the shard's own nodes,
-/// scheduling the wakeups with the global origin. `target_of` reports
-/// an event's target node (for horizon mirrors and inbox routing
-/// sanity).
+/// scheduling the wakeups with the global origin.
 ///
 /// Returns the final simulated time (the maximum over shards) and the
 /// run's [`PdesTelemetry`].
@@ -681,20 +647,18 @@ struct Shared<E> {
 /// wound down at the next boundary, and the panic re-raised on the
 /// calling thread — so a machine assertion behaves as it does
 /// sequentially.
-pub fn run_windows<E, S, H, R, T>(
+pub fn run_windows<E, S, H, R>(
     shards: &mut [S],
     queues: &mut [ShardQueue<E>],
     cfg: Windowing,
     handle: H,
     release: R,
-    target_of: T,
 ) -> (Cycles, PdesTelemetry)
 where
     E: Send,
     S: Send,
     H: Fn(&mut S, Cycles, E, &mut ShardQueue<E>) + Sync,
     R: Fn(&mut S, &mut ShardQueue<E>, Cycles, u64) + Sync,
-    T: Fn(&E) -> Option<usize> + Sync,
 {
     let n_shards = shards.len();
     assert_eq!(n_shards, queues.len());
@@ -774,10 +738,11 @@ where
             let shared = &shared;
             let handle = &handle;
             let release = &release;
-            let target_of = &target_of;
             let base = first;
             scope.spawn(move || {
-                worker(base, s_chunk, q_chunk, shared, cfg, quantum, handle, release, target_of)
+                worker(
+                    base, s_chunk, q_chunk, shared, cfg, quantum, handle, release,
+                )
             });
             first += size;
         }
@@ -956,7 +921,7 @@ fn adaptive_ends(
 /// same round acts is harmless: cross-shard messages land at or after
 /// their target's window end, so the target cannot pop them this round.
 #[allow(clippy::too_many_arguments)]
-fn worker<E, S, H, R, T>(
+fn worker<E, S, H, R>(
     first: usize,
     shards: &mut [S],
     queues: &mut [ShardQueue<E>],
@@ -965,13 +930,11 @@ fn worker<E, S, H, R, T>(
     quantum: Cycles,
     handle: &H,
     release: &R,
-    target_of: &T,
 ) where
     E: Send,
     S: Send,
     H: Fn(&mut S, Cycles, E, &mut ShardQueue<E>) + Sync,
     R: Fn(&mut S, &mut ShardQueue<E>, Cycles, u64) + Sync,
-    T: Fn(&E) -> Option<usize> + Sync,
 {
     loop {
         if shared.rendezvous.wait().is_leader() {
@@ -994,7 +957,7 @@ fn worker<E, S, H, R, T>(
                     let end = shared.ends.lock().expect("ends lock")[index];
                     queue.set_window_end(Some(end));
                     let mut handled = 0u64;
-                    while let Some((now, ev)) = queue.pop(|e| target_of(e)) {
+                    while let Some((now, ev)) = queue.pop() {
                         handle(shard, now, ev, queue);
                         handled += 1;
                     }
@@ -1115,7 +1078,7 @@ mod tests {
         }
         let end = if n_shards == 1 {
             let (shard, queue) = (&mut shards[0], &mut queues[0]);
-            while let Some((now, ev)) = queue.pop(|e| Some(e.to)) {
+            while let Some((now, ev)) = queue.pop() {
                 toy_handle(shard, now, ev, queue);
             }
             queue.now()
@@ -1132,7 +1095,6 @@ mod tests {
                 },
                 toy_handle,
                 |_s, _q, _at, _gen| unreachable!("toy machine has no barrier"),
-                |e: &Token| Some(e.to),
             )
             .0
         };
@@ -1197,8 +1159,7 @@ mod tests {
         q.set_origin(1);
         q.schedule_for(Cycles::new(5), 1, 101);
         let mut order = Vec::new();
-        let target = |e: &u32| if *e == 999 { None } else { Some((*e - 100) as usize) };
-        while let Some((_, e)) = q.pop(target) {
+        while let Some((_, e)) = q.pop() {
             order.push(e);
         }
         assert_eq!(order, vec![999, 100, 101]);
@@ -1217,7 +1178,7 @@ mod tests {
         // Origin id = node 1 + 1 = 2, first counter value 1.
         assert_eq!(out[0].key, (2 << 32) | 1);
         b.deliver(out.into_iter().next().unwrap());
-        assert_eq!(b.pop(|_| Some(3)), Some((Cycles::new(20), 7)));
+        assert_eq!(b.pop(), Some((Cycles::new(20), 7)));
     }
 
     #[test]
@@ -1266,7 +1227,6 @@ mod tests {
                     assert!(ev != 3, "planted failure on node 3");
                 },
                 |_s, _q, _at, _gen| {},
-                |e: &u32| Some(*e as usize),
             )
         }));
         assert!(result.is_err(), "the planted panic must reach the caller");
@@ -1295,13 +1255,6 @@ mod tests {
 
     fn b_work(node: usize) -> u32 {
         5 + 25 * node as u32
-    }
-
-    fn b_target(e: &BEv) -> Option<usize> {
-        match e {
-            BEv::Step { node, .. } => Some(*node),
-            BEv::Release => None,
-        }
     }
 
     fn b_handle(s: &mut BShard, now: Cycles, ev: BEv, q: &mut ShardQueue<BEv>) {
@@ -1378,7 +1331,7 @@ mod tests {
         }
         let (end, telemetry) = if n_shards == 1 {
             let (shard, queue) = (&mut shards[0], &mut queues[0]);
-            while let Some((now, ev)) = queue.pop(b_target) {
+            while let Some((now, ev)) = queue.pop() {
                 b_handle(shard, now, ev, queue);
             }
             (queue.now(), PdesTelemetry::default())
@@ -1397,7 +1350,6 @@ mod tests {
                 |_s: &mut BShard, q: &mut ShardQueue<BEv>, at, generation| {
                     q.deliver_release(at, generation, BEv::Release)
                 },
-                b_target,
             )
         };
         let mut steps = vec![0; B_NODES];
@@ -1463,13 +1415,6 @@ mod tests {
         log: Vec<(u64, &'static str)>,
     }
 
-    fn w_target(e: &WEv) -> Option<usize> {
-        match e {
-            WEv::Tick { .. } | WEv::Token => Some(0),
-            WEv::Fire => Some(1),
-        }
-    }
-
     fn w_handle(s: &mut WShard, now: Cycles, ev: WEv, q: &mut ShardQueue<WEv>) {
         match ev {
             WEv::Tick { t_next } => {
@@ -1509,7 +1454,7 @@ mod tests {
             q.set_origin(1);
             q.schedule_for(Cycles::new(100), 1, WEv::Fire);
             let shard = &mut shards[0];
-            while let Some((now, ev)) = q.pop(w_target) {
+            while let Some((now, ev)) = q.pop() {
                 w_handle(shard, now, ev, &mut q);
             }
             log.append(&mut shard.log);
@@ -1532,7 +1477,6 @@ mod tests {
                 },
                 w_handle,
                 |_s, _q, _at, _gen| unreachable!("no barrier in this toy"),
-                w_target,
             );
             for s in &mut shards {
                 log.append(&mut s.log);

@@ -31,7 +31,8 @@
 //! Self-sends never traverse the wire (the network delivers them
 //! fault-free), so they bypass sequencing entirely.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use tt_base::stats::Report;
 use tt_base::{Cycles, NodeId};
@@ -119,11 +120,52 @@ struct Inflight {
     retries: u32,
 }
 
-/// Sender-side state for one ordered link (this node → `dst`).
+/// Sender-side state for one ordered link (this node → `dst`): the
+/// unacknowledged messages `base .. base + window.len()`, in sequence
+/// order. A cumulative ack pops the front; a message the transport gave
+/// up on stays behind as a `None` tombstone until the front reaches it.
 #[derive(Debug, Default)]
 struct LinkTx {
-    next_seq: u64,
-    inflight: BTreeMap<u64, Inflight>,
+    base: u64,
+    window: VecDeque<Option<Inflight>>,
+}
+
+impl LinkTx {
+    /// Sequence number of the next message sent on this link.
+    fn next_seq(&self) -> u64 {
+        self.base + self.window.len() as u64
+    }
+
+    /// The live (not yet acked, not given up) message `seq`, if any.
+    fn get(&self, seq: u64) -> Option<&Inflight> {
+        let i = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.window.get(i)?.as_ref()
+    }
+
+    /// [`LinkTx::get`], mutably.
+    fn get_mut(&mut self, seq: u64) -> Option<&mut Inflight> {
+        let i = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.window.get_mut(i)?.as_mut()
+    }
+
+    /// Drops everything below `upto` (a cumulative ack).
+    fn ack(&mut self, upto: u64) {
+        while self.base < upto && self.window.pop_front().is_some() {
+            self.base += 1;
+        }
+    }
+
+    /// Gives up on live message `seq`, leaving a tombstone, and trims
+    /// tombstones off the front (no ack can make them matter again).
+    fn give_up(&mut self, seq: u64) -> Inflight {
+        let i = (seq - self.base) as usize;
+        let m = self.window[i].take().expect("given-up message is live");
+        while let Some(None) = self.window.front() {
+            self.window.pop_front();
+            self.base += 1;
+        }
+        m
+    }
 }
 
 /// Receiver-side state for one ordered link (`src` → this node).
@@ -136,26 +178,64 @@ struct LinkRx {
 
 /// Mutable transport state, split from the wrapped protocol so a
 /// [`RelCtx`] can borrow it while the inner protocol runs.
+///
+/// Retransmission deadlines live in one min-heap of `(deadline, dst,
+/// seq)` entries with lazy deletion: an entry is live only while its
+/// message is still in flight with that exact deadline, so acks and
+/// retransmissions never search the heap. A timer firing pops just the
+/// due entries, and sorting them by `(dst, seq)` reproduces the order
+/// of a scan over every link's window.
 #[derive(Debug, Default)]
 struct RelState {
-    /// Keyed by destination node (BTreeMap for deterministic iteration).
-    tx: BTreeMap<u16, LinkTx>,
-    /// Keyed by source node.
-    rx: BTreeMap<u16, LinkRx>,
+    /// Indexed by destination node (grown on demand).
+    tx: Vec<LinkTx>,
+    /// Indexed by source node (grown on demand).
+    rx: Vec<LinkRx>,
+    deadlines: BinaryHeap<Reverse<(Cycles, u16, u64)>>,
+    /// Scratch for the `(dst, seq)` pairs due at one timer firing.
+    due: Vec<(u16, u64)>,
     /// Deadline the machine timer is currently armed for, if any.
     timer_at: Option<Cycles>,
     stats: RelStats,
 }
 
+/// The entry for `link`, growing the dense table to reach it.
+fn link_mut<L: Default>(table: &mut Vec<L>, link: u16) -> &mut L {
+    let i = usize::from(link);
+    if i >= table.len() {
+        table.resize_with(i + 1, L::default);
+    }
+    &mut table[i]
+}
+
 impl RelState {
     /// Arms the machine timer for `deadline` if it is not already armed
     /// at or before it. One timer serves all links; spurious firings
-    /// rescan and re-arm.
+    /// find nothing due and re-arm.
     fn arm(&mut self, ctx: &mut dyn TempestCtx, deadline: Cycles) {
         if self.timer_at.is_none_or(|t| deadline < t) {
             ctx.set_timer(deadline, 0);
             self.timer_at = Some(deadline);
         }
+    }
+
+    /// Whether deadline-heap entry `(deadline, dst, seq)` is current.
+    fn is_live(&self, deadline: Cycles, dst: u16, seq: u64) -> bool {
+        self.tx
+            .get(usize::from(dst))
+            .and_then(|l| l.get(seq))
+            .is_some_and(|m| m.deadline == deadline)
+    }
+
+    /// The earliest live deadline, discarding stale heap entries above it.
+    fn earliest_deadline(&mut self) -> Option<Cycles> {
+        while let Some(&Reverse((d, dst, seq))) = self.deadlines.peek() {
+            if self.is_live(d, dst, seq) {
+                return Some(d);
+            }
+            self.deadlines.pop();
+        }
+        None
     }
 }
 
@@ -197,22 +277,21 @@ impl TempestCtx for RelCtx<'_> {
             self.ctx.send(dst, vn, handler, payload);
             return;
         }
-        let link = self.state.tx.entry(dst.raw()).or_default();
-        let seq = link.next_seq;
-        link.next_seq += 1;
+        let link = link_mut(&mut self.state.tx, dst.raw());
+        let seq = link.next_seq();
         payload.push_word(seq);
         let deadline = self.ctx.now() + self.cfg.timeout;
-        link.inflight.insert(
-            seq,
-            Inflight {
-                vn,
-                handler,
-                payload: payload.clone(),
-                deadline,
-                backoff: self.cfg.timeout,
-                retries: 0,
-            },
-        );
+        link.window.push_back(Some(Inflight {
+            vn,
+            handler,
+            payload: payload.clone(),
+            deadline,
+            backoff: self.cfg.timeout,
+            retries: 0,
+        }));
+        self.state
+            .deadlines
+            .push(Reverse((deadline, dst.raw(), seq)));
         self.state.stats.sent += 1;
         self.ctx.charge(REL_BOOKKEEP_INSTR);
         self.ctx.send(dst, vn, handler, payload);
@@ -332,7 +411,7 @@ impl Reliable {
 
     /// Sends the current cumulative ack for the link from `src`.
     fn send_ack(&mut self, ctx: &mut dyn TempestCtx, src: NodeId) {
-        let next = self.state.rx.entry(src.raw()).or_default().next_expected;
+        let next = link_mut(&mut self.state.rx, src.raw()).next_expected;
         self.state.stats.acks_sent += 1;
         ctx.charge(REL_BOOKKEEP_INSTR);
         ctx.send(src, VirtualNet::Response, REL_ACK, Payload::args(&[next]));
@@ -344,11 +423,8 @@ impl Reliable {
     fn on_ack(&mut self, ctx: &mut dyn TempestCtx, src: NodeId, upto: u64) {
         self.state.stats.acks_received += 1;
         ctx.charge(REL_BOOKKEEP_INSTR);
-        if let Some(link) = self.state.tx.get_mut(&src.raw()) {
-            let acked: Vec<u64> = link.inflight.range(..upto).map(|(&s, _)| s).collect();
-            for s in acked {
-                link.inflight.remove(&s);
-            }
+        if let Some(link) = self.state.tx.get_mut(src.index()) {
+            link.ack(upto);
         }
     }
 }
@@ -407,7 +483,7 @@ impl Protocol for Reliable {
             .expect("sequenced message carries a trailing sequence word");
         ctx.charge(REL_BOOKKEEP_INSTR);
         let src = msg.src;
-        let next = self.state.rx.entry(src.raw()).or_default().next_expected;
+        let next = link_mut(&mut self.state.rx, src.raw()).next_expected;
         if seq < next {
             // A stale duplicate: a retransmitted copy of a message this
             // node already delivered. Idempotence demands suppression —
@@ -426,7 +502,7 @@ impl Protocol for Reliable {
             // flight): park it; redundant copies of a parked message
             // are ignored.
             self.state.stats.reordered += 1;
-            let rxl = self.state.rx.get_mut(&src.raw()).expect("entry created above");
+            let rxl = &mut self.state.rx[src.index()];
             rxl.reorder
                 .entry(seq)
                 .or_insert((msg.vn, msg.handler, msg.payload));
@@ -436,7 +512,7 @@ impl Protocol for Reliable {
         // In order: deliver, then drain any parked successors.
         self.deliver(ctx, msg);
         loop {
-            let rxl = self.state.rx.get_mut(&src.raw()).expect("entry created above");
+            let rxl = &mut self.state.rx[src.index()];
             rxl.next_expected += 1;
             let n = rxl.next_expected;
             match rxl.reorder.remove(&n) {
@@ -457,46 +533,47 @@ impl Protocol for Reliable {
 
     fn on_timer(&mut self, ctx: &mut dyn TempestCtx, _token: u64) {
         let now = ctx.now();
-        self.state.timer_at = None;
+        let state = &mut self.state;
+        state.timer_at = None;
         ctx.charge(REL_BOOKKEEP_INSTR);
-        let mut faults = Vec::new();
-        for (&dst, link) in self.state.tx.iter_mut() {
-            let due: Vec<u64> = link
-                .inflight
-                .iter()
-                .filter(|(_, m)| m.deadline <= now)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in due {
-                let m = link.inflight.get_mut(&s).expect("due seq is inflight");
-                if m.retries >= self.cfg.max_retries {
-                    let m = link.inflight.remove(&s).expect("due seq is inflight");
-                    faults.push(NetFault {
-                        node: ctx.node(),
-                        dst: NodeId::new(dst),
-                        vn: m.vn,
-                        handler: m.handler,
-                        retries: m.retries,
-                    });
-                    continue;
-                }
-                m.retries += 1;
-                m.deadline = now + m.backoff;
-                m.backoff =
-                    Cycles::new((m.backoff.raw() * 2).min(self.cfg.backoff_cap.raw()));
-                self.state.stats.retransmits += 1;
-                ctx.charge(REL_RETRANSMIT_INSTR);
-                ctx.send(NodeId::new(dst), m.vn, m.handler, m.payload.clone());
+        let mut due = std::mem::take(&mut state.due);
+        while let Some(&Reverse((d, dst, seq))) = state.deadlines.peek() {
+            if d > now {
+                break;
+            }
+            state.deadlines.pop();
+            if state.is_live(d, dst, seq) {
+                due.push((dst, seq));
             }
         }
-        let earliest = self
-            .state
-            .tx
-            .values()
-            .flat_map(|l| l.inflight.values().map(|m| m.deadline))
-            .min();
-        if let Some(d) = earliest {
-            self.state.arm(ctx, d);
+        due.sort_unstable();
+        let mut faults = Vec::new();
+        for &(dst, seq) in &due {
+            let link = &mut state.tx[usize::from(dst)];
+            let m = link.get_mut(seq).expect("due message is live");
+            if m.retries >= self.cfg.max_retries {
+                let m = link.give_up(seq);
+                faults.push(NetFault {
+                    node: ctx.node(),
+                    dst: NodeId::new(dst),
+                    vn: m.vn,
+                    handler: m.handler,
+                    retries: m.retries,
+                });
+                continue;
+            }
+            m.retries += 1;
+            m.deadline = now + m.backoff;
+            m.backoff = Cycles::new((m.backoff.raw() * 2).min(self.cfg.backoff_cap.raw()));
+            state.deadlines.push(Reverse((m.deadline, dst, seq)));
+            state.stats.retransmits += 1;
+            ctx.charge(REL_RETRANSMIT_INSTR);
+            ctx.send(NodeId::new(dst), m.vn, m.handler, m.payload.clone());
+        }
+        due.clear();
+        state.due = due;
+        if let Some(d) = state.earliest_deadline() {
+            state.arm(ctx, d);
         }
         for f in faults {
             // Deterministic graceful degradation: on a real machine this
@@ -813,6 +890,274 @@ mod tests {
         r.on_timer(&mut ctx, 0);
         assert_eq!(r.stats().retransmits, 3, "healed link needs no more copies");
         assert!(ctx.net_faults.is_empty());
+    }
+
+    /// The reference for [`Reliable`]: the transport's original design,
+    /// kept minimal — per-link `BTreeMap`s, and a timer firing that scans
+    /// every in-flight message on every link in `(dst, seq)` order.
+    /// Its inner protocol is the [`Recorder`]; deliveries go to `log`.
+    struct ScanModel {
+        cfg: ReliableConfig,
+        /// Destination → (next seq, in-flight by seq).
+        tx: BTreeMap<u16, (u64, BTreeMap<u64, ModelMsg>)>,
+        /// Source → (next expected, early arrivals by seq).
+        rx: BTreeMap<u16, (u64, BTreeMap<u64, Vec<u64>>)>,
+        timer_at: Option<Cycles>,
+        log: Vec<(HandlerId, Vec<u64>)>,
+    }
+
+    struct ModelMsg {
+        words: Vec<u64>,
+        deadline: Cycles,
+        backoff: Cycles,
+        retries: u32,
+    }
+
+    impl ScanModel {
+        fn arm(&mut self, ctx: &mut MockCtx, deadline: Cycles) {
+            if self.timer_at.is_none_or(|t| deadline < t) {
+                ctx.set_timer(deadline, 0);
+                self.timer_at = Some(deadline);
+            }
+        }
+
+        /// The [`Recorder`]'s user call: one PING to node `dst`.
+        fn user_call(&mut self, ctx: &mut MockCtx, dst: u16, arg: u64) {
+            if dst == ctx.node().raw() {
+                ctx.send(
+                    NodeId::new(dst),
+                    VirtualNet::Request,
+                    PING,
+                    Payload::args(&[arg]),
+                );
+                return;
+            }
+            let (next, inflight) = self.tx.entry(dst).or_default();
+            let seq = *next;
+            *next += 1;
+            let deadline = ctx.now() + self.cfg.timeout;
+            let words = vec![arg, seq];
+            inflight.insert(
+                seq,
+                ModelMsg {
+                    words: words.clone(),
+                    deadline,
+                    backoff: self.cfg.timeout,
+                    retries: 0,
+                },
+            );
+            ctx.charge(REL_BOOKKEEP_INSTR);
+            ctx.send(
+                NodeId::new(dst),
+                VirtualNet::Request,
+                PING,
+                Payload::args(&words),
+            );
+            self.arm(ctx, deadline);
+        }
+
+        fn send_ack(&mut self, ctx: &mut MockCtx, src: u16) {
+            let next = self.rx.entry(src).or_default().0;
+            ctx.charge(REL_BOOKKEEP_INSTR);
+            ctx.send(
+                NodeId::new(src),
+                VirtualNet::Response,
+                REL_ACK,
+                Payload::args(&[next]),
+            );
+        }
+
+        fn ack(&mut self, ctx: &mut MockCtx, src: u16, upto: u64) {
+            ctx.charge(REL_BOOKKEEP_INSTR);
+            if let Some((_, inflight)) = self.tx.get_mut(&src) {
+                inflight.retain(|&s, _| s >= upto);
+            }
+        }
+
+        fn arrival(&mut self, ctx: &mut MockCtx, src: u16, words: Vec<u64>) {
+            if src == ctx.node().raw() {
+                self.log.push((PING, words));
+                return;
+            }
+            let (seq, words) = words.split_last().expect("sequenced");
+            let (seq, words) = (*seq, words.to_vec());
+            ctx.charge(REL_BOOKKEEP_INSTR);
+            let (next, reorder) = self.rx.entry(src).or_default();
+            if seq > *next {
+                reorder.entry(seq).or_insert(words);
+            } else if seq == *next {
+                self.log.push((PING, words));
+                *next += 1;
+                while let Some(w) = reorder.remove(next) {
+                    self.log.push((PING, w));
+                    *next += 1;
+                }
+            }
+            self.send_ack(ctx, src);
+        }
+
+        fn timer(&mut self, ctx: &mut MockCtx) {
+            let now = ctx.now();
+            self.timer_at = None;
+            ctx.charge(REL_BOOKKEEP_INSTR);
+            let mut faults = Vec::new();
+            for (&dst, (_, inflight)) in self.tx.iter_mut() {
+                let due: Vec<u64> = inflight
+                    .iter()
+                    .filter(|(_, m)| m.deadline <= now)
+                    .map(|(&s, _)| s)
+                    .collect();
+                for s in due {
+                    let m = inflight.get_mut(&s).expect("due");
+                    if m.retries >= self.cfg.max_retries {
+                        faults.push(NetFault {
+                            node: ctx.node(),
+                            dst: NodeId::new(dst),
+                            vn: VirtualNet::Request,
+                            handler: PING,
+                            retries: m.retries,
+                        });
+                        inflight.remove(&s);
+                        continue;
+                    }
+                    m.retries += 1;
+                    m.deadline = now + m.backoff;
+                    m.backoff = Cycles::new((m.backoff.raw() * 2).min(self.cfg.backoff_cap.raw()));
+                    ctx.charge(REL_RETRANSMIT_INSTR);
+                    let words = m.words.clone();
+                    ctx.send(
+                        NodeId::new(dst),
+                        VirtualNet::Request,
+                        PING,
+                        Payload::args(&words),
+                    );
+                }
+            }
+            let earliest = self
+                .tx
+                .values()
+                .flat_map(|(_, f)| f.values().map(|m| m.deadline))
+                .min();
+            if let Some(d) = earliest {
+                self.arm(ctx, d);
+            }
+            for f in faults {
+                ctx.raise_net_fault(f);
+            }
+        }
+    }
+
+    /// Drives [`Reliable`] and the [`ScanModel`] through one seeded
+    /// schedule of sends, cumulative acks (stale, duplicate, advancing),
+    /// stale/in-order/early arrivals and timer firings, comparing every
+    /// effect after every step. Returns the transport's final counters
+    /// and the number of net faults raised.
+    fn differential_run(seed: u64) -> (RelStats, usize) {
+        use tt_base::DetRng;
+        const NODES: u16 = 4;
+        let cfg = ReliableConfig {
+            timeout: Cycles::new(8),
+            backoff_cap: Cycles::new(32),
+            max_retries: 3,
+            dedupe: true,
+        };
+        let (mut r, mut ctx, log) = rig(cfg);
+        let mut model = ScanModel {
+            cfg,
+            tx: BTreeMap::new(),
+            rx: BTreeMap::new(),
+            timer_at: None,
+            log: Vec::new(),
+        };
+        let mut mctx = MockCtx::new(0, NODES as usize);
+        let mut rng = DetRng::new(seed);
+        for step in 0..800 {
+            let peer = 1 + rng.below(u64::from(NODES) - 1) as u16;
+            let roll = rng.below(100);
+            if roll < 30 {
+                let dst = rng.below(u64::from(NODES)) as u16;
+                let arg = rng.next_u64() >> 16;
+                let thread = ThreadId(NodeId::new(0));
+                r.on_user_call(
+                    &mut ctx,
+                    thread,
+                    UserCall {
+                        op: u32::from(dst),
+                        arg,
+                    },
+                );
+                model.user_call(&mut mctx, dst, arg);
+            } else if roll < 50 {
+                let sent = model.tx.get(&peer).map_or(0, |(next, _)| *next);
+                let upto = rng.below(sent + 1);
+                let ack = Message {
+                    src: NodeId::new(peer),
+                    vn: VirtualNet::Response,
+                    handler: REL_ACK,
+                    payload: Payload::args(&[upto]),
+                };
+                r.on_message(&mut ctx, ack);
+                model.ack(&mut mctx, peer, upto);
+            } else if roll < 75 {
+                let src = if rng.chance(0.1) { 0 } else { peer };
+                let next = model.rx.get(&src).map_or(0, |(next, _)| *next);
+                let seq = next.saturating_sub(2) + rng.below(6);
+                let mut words = vec![rng.below(1000)];
+                if src != 0 {
+                    words.push(seq);
+                }
+                r.on_message(&mut ctx, wire_words(src, &words));
+                model.arrival(&mut mctx, src, words);
+            } else {
+                let by = match ctx.timers.last() {
+                    Some(&(at, _)) if rng.chance(0.5) && at > ctx.now() => at - ctx.now(),
+                    _ => Cycles::new(rng.below(24)),
+                };
+                ctx.advance(by);
+                mctx.advance(by);
+                r.on_timer(&mut ctx, 0);
+                model.timer(&mut mctx);
+            }
+            let ctxt = format!("seed {seed}, step {step}");
+            assert_eq!(ctx.sent, mctx.sent, "sent packets, {ctxt}");
+            assert_eq!(ctx.timers, mctx.timers, "armed timers, {ctxt}");
+            assert_eq!(ctx.charged, mctx.charged, "charges, {ctxt}");
+            assert_eq!(ctx.net_faults, mctx.net_faults, "net faults, {ctxt}");
+            assert_eq!(delivered(&log), model.log, "deliveries, {ctxt}");
+        }
+        (*r.stats(), ctx.net_faults.len())
+    }
+
+    fn wire_words(src: u16, words: &[u64]) -> Message {
+        Message {
+            src: NodeId::new(src),
+            vn: VirtualNet::Request,
+            handler: PING,
+            payload: Payload::args(words),
+        }
+    }
+
+    #[test]
+    fn indexed_transport_matches_the_scan_model() {
+        let mut total = RelStats::default();
+        let mut faults = 0;
+        for seed in 0..40 {
+            let (s, f) = differential_run(seed);
+            faults += f;
+            total.sent += s.sent;
+            total.retransmits += s.retransmits;
+            total.reordered += s.reordered;
+            total.stale_suppressed += s.stale_suppressed;
+            total.acks_received += s.acks_received;
+        }
+        // The schedules reach every path the comparison is meant to cover.
+        assert!(total.sent > 1000 && total.acks_received > 1000, "{total:?}");
+        assert!(total.retransmits > 1000, "{total:?}");
+        assert!(
+            total.reordered > 100 && total.stale_suppressed > 100,
+            "{total:?}"
+        );
+        assert!(faults > 100, "retry exhaustion raises net faults: {faults}");
     }
 
     #[test]

@@ -332,3 +332,92 @@ fn remote_miss_latency_is_in_the_expected_band() {
     assert!(stall > 100.0, "stall {stall} suspiciously small");
     assert!(stall < 1200.0, "stall {stall} suspiciously large");
 }
+
+#[test]
+fn tracer_sees_every_fault_including_refaults_on_resume() {
+    use std::sync::{Arc, Mutex};
+    use tt_typhoon::{TraceEvent, TraceRecord, Tracer, VecTracer};
+
+    // Nodes 1..4 read a page homed on node 0, then write their own block
+    // of it. The first remote read takes a page fault whose handler maps
+    // the page and resumes the CPU, which refaults on the still-invalid
+    // block — a fault taken inside the handler's resume, which the
+    // tracer must see like any other.
+    let nodes = 4;
+    let layout = layout_pages(1, Placement::PerPage(vec![NodeId::new(0)]));
+    let mut w = ScriptWorkload::new(nodes).with_layout(layout);
+    w.set(
+        0,
+        vec![
+            Op::Write {
+                addr: va(0),
+                value: 7,
+            },
+            Op::Barrier,
+            Op::Barrier,
+        ],
+    );
+    for n in 1..nodes {
+        let own = va(n as u64 * 64);
+        w.set(
+            n,
+            vec![
+                Op::Barrier,
+                Op::Read {
+                    addr: va(0),
+                    expect: Some(7),
+                },
+                Op::Write {
+                    addr: own,
+                    value: n as u64,
+                },
+                Op::Barrier,
+            ],
+        );
+    }
+    let records = Arc::new(Mutex::new(VecTracer::new()));
+    let sink = records.clone();
+    let mut m = TyphoonMachine::new(
+        SystemConfig::test_config(nodes),
+        Box::new(w),
+        &|id, l, c| Box::new(StacheProtocol::new(id, l, c)),
+    );
+    m.set_tracer(Box::new(move |r: TraceRecord| {
+        sink.lock().unwrap().record(r)
+    }));
+    let r = m.run();
+
+    let tracer = records.lock().unwrap();
+    let faults = |n: usize| -> Vec<&TraceEvent> {
+        tracer
+            .for_node(NodeId::new(n as u16))
+            .into_iter()
+            .map(|r| &r.event)
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::PageFault { .. } | TraceEvent::BlockFault { .. }
+                )
+            })
+            .collect()
+    };
+    let all: Vec<&TraceEvent> = (0..nodes).flat_map(faults).collect();
+    let block = all
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::BlockFault { .. }))
+        .count();
+    let page = all.len() - block;
+    assert_eq!(Some(block as f64), r.report.get("cpu.block_faults"));
+    assert_eq!(Some(page as f64), r.report.get("cpu.page_faults"));
+    for n in 1..nodes {
+        assert!(
+            matches!(
+                faults(n)[..2],
+                [TraceEvent::PageFault { addr: x, .. }, TraceEvent::BlockFault { addr: y, .. }]
+                    if *x == va(0) && *y == va(0)
+            ),
+            "node {n}: page fault, then the block refault on resume: {:?}",
+            faults(n)
+        );
+    }
+}

@@ -77,7 +77,7 @@ pub enum Event {
 impl Event {
     /// The node whose state handling this event touches, or `None` for
     /// events with machine-global effect. Routes events to their owning
-    /// shard and feeds the event queue's per-node horizon tracking.
+    /// shard.
     pub fn target(&self) -> Option<usize> {
         match self {
             Event::CpuStep(n) | Event::NpDispatch(n) => Some(*n),
@@ -351,7 +351,7 @@ impl TyphoonMachine {
             let mut shard = self.whole_shard();
             shard.init_nodes(&mut queue);
         }
-        while let Some((now, event)) = queue.pop(|e: &Event| e.target()) {
+        while let Some((now, event)) = queue.pop() {
             let observed = event.clone();
             {
                 let mut shard = self.whole_shard();
@@ -394,7 +394,7 @@ impl TyphoonMachine {
         {
             let mut shard = self.whole_shard();
             shard.init_nodes(&mut queue);
-            while let Some((now, event)) = queue.pop(|e: &Event| e.target()) {
+            while let Some((now, event)) = queue.pop() {
                 shard.handle(now, event, &mut queue);
             }
         }
@@ -498,7 +498,6 @@ impl TyphoonMachine {
                 |_shard, queue, at, generation| {
                     queue.deliver_release(at, generation, Event::BarrierRelease { generation })
                 },
-                |e: &Event| e.target(),
             )
             .1;
         }
@@ -687,6 +686,29 @@ impl<'m> Shard<'m> {
                 }
             }
             Event::NpWork { node, work } => {
+                // Every fault reaches the NP through here, whether the
+                // CPU took it in its op loop or on a handler's resume.
+                if self.tracer.is_some() {
+                    let id = NodeId::new(node as u16);
+                    match &work {
+                        NpWork::BlockFault(f) => self.trace(
+                            now,
+                            TraceEvent::BlockFault {
+                                node: id,
+                                addr: f.addr,
+                                kind: f.kind,
+                            },
+                        ),
+                        NpWork::PageFault(f) => self.trace(
+                            now,
+                            TraceEvent::PageFault {
+                                node: id,
+                                addr: f.addr,
+                            },
+                        ),
+                        _ => {}
+                    }
+                }
                 self.nodes[node - self.first].np.enqueue(work);
                 self.try_dispatch(node, now, queue);
             }
@@ -762,7 +784,6 @@ impl<'m> Shard<'m> {
             nodes,
             workload,
             done,
-            tracer,
             barrier,
             ..
         } = self;
@@ -809,7 +830,6 @@ impl<'m> Shard<'m> {
                 Op::Read { addr, expect } => {
                     if !Self::access(
                         cfg,
-                        tracer,
                         node,
                         n,
                         queue,
@@ -823,16 +843,13 @@ impl<'m> Shard<'m> {
                     }
                 }
                 Op::ReadRecord { addr } => {
-                    if !Self::access(
-                        cfg, tracer, node, n, queue, addr, AccessKind::Load, 0, None, true,
-                    ) {
+                    if !Self::access(cfg, node, n, queue, addr, AccessKind::Load, 0, None, true) {
                         return;
                     }
                 }
                 Op::Write { addr, value } => {
                     if !Self::access(
                         cfg,
-                        tracer,
                         node,
                         n,
                         queue,
@@ -932,7 +949,6 @@ impl<'m> Shard<'m> {
     #[allow(clippy::too_many_arguments)]
     fn access(
         cfg: &SystemConfig,
-        tracer: &mut Option<&'m mut Box<dyn Tracer>>,
         node: &mut NodeState,
         n: usize,
         queue: &mut ShardQueue<Event>,
@@ -979,14 +995,6 @@ impl<'m> Shard<'m> {
                 node.cpu.status = CpuStatus::BlockedFault;
                 node.cpu.suspended_at = node.cpu.clock;
                 let at = node.cpu.clock;
-                trace_into(
-                    tracer,
-                    at,
-                    TraceEvent::PageFault {
-                        node: NodeId::new(n as u16),
-                        addr,
-                    },
-                );
                 schedule(
                     queue,
                     at,
@@ -1002,15 +1010,6 @@ impl<'m> Shard<'m> {
                 node.cpu.status = CpuStatus::BlockedFault;
                 node.cpu.suspended_at = node.cpu.clock;
                 let at = node.cpu.clock;
-                trace_into(
-                    tracer,
-                    at,
-                    TraceEvent::BlockFault {
-                        node: NodeId::new(n as u16),
-                        addr,
-                        kind,
-                    },
-                );
                 schedule(
                     queue,
                     at,
@@ -1285,15 +1284,6 @@ impl<'m> Shard<'m> {
                 schedule(queue, at, Event::CpuStep(n));
             }
         }
-    }
-}
-
-/// Records a trace event through an optional tracer; the out-of-line
-/// equivalent of [`Shard::trace`] for code holding split borrows.
-#[inline]
-fn trace_into(tracer: &mut Option<&mut Box<dyn Tracer>>, at: Cycles, event: TraceEvent) {
-    if let Some(t) = tracer {
-        t.record(TraceRecord { at, event });
     }
 }
 

@@ -84,6 +84,16 @@ cargo run --release -p tt-bench --bin kv_bench -- \
     --fault-rate 30 --sim-threads 2 >/dev/null
 rm -f /tmp/kv_a.txt /tmp/kv_b.txt /tmp/kv_c.txt
 
+# Lossy-path golden: the 32-node sweep at 10 permille loss crosses the
+# reliable transport's retransmit timers on every packet. Its stdout
+# must match the committed snapshot byte for byte: host-side speedups
+# of the transport or the event queue may not move a single cycle.
+echo "==> kv_bench lossy golden (--nodes 32 --fault-rate 10 vs results/kv_bench_32_fault10.txt)"
+cargo run --release -p tt-bench --bin kv_bench -- \
+    --nodes 32 --fault-rate 10 --jobs 1 >/tmp/kv_lossy32.txt
+cmp /tmp/kv_lossy32.txt results/kv_bench_32_fault10.txt
+rm -f /tmp/kv_lossy32.txt
+
 # Lossy-network fault fuzzing: 200 seeds with a per-seed fault schedule
 # (drops, duplicates, detected corruption, transient partitions) drawn
 # from the case seed; the stock Stache behind the reliable transport
