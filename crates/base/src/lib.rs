@@ -37,7 +37,7 @@ pub mod table;
 pub mod workload;
 
 pub use addr::{PAddr, Ppn, VAddr, Vpn};
-pub use config::{FaultSpec, SystemConfig, Topology, WindowPolicy};
+pub use config::{FaultSpec, SystemConfig, Topology};
 pub use cycles::Cycles;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use ids::NodeId;

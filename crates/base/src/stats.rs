@@ -42,46 +42,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Host-side telemetry of one conservative-parallel simulation
-/// (`tt_sim::pdes::run_windows`). These describe the *simulator's* work,
-/// not the simulated machine: they are deliberately kept out of
-/// [`Report`] so sequential and parallel runs of the same workload
-/// produce identical reports. All ratios (events per window, messages
-/// per window) are derived, not stored.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PdesTelemetry {
-    /// Window rounds executed (each bounded by its window end).
-    pub windows: u64,
-    /// Barrier rendezvous performed: one leader decision per round
-    /// (windows, barrier releases, and the final stop round).
-    pub rendezvous: u64,
-    /// Rendezvous the adaptive policy skipped, estimated per round as
-    /// the largest number of fixed-quantum buckets any one shard's
-    /// executed events spanned, minus one — the extra rounds a fixed
-    /// driver (which re-anchors each window at the current global
-    /// minimum) would have needed for the same work. 0 under the fixed
-    /// policy.
-    pub rendezvous_elided: u64,
-    /// Events dispatched inside windows, across all shards.
-    pub events: u64,
-    /// Cross-shard messages exchanged at window boundaries.
-    pub cross_messages: u64,
-    /// Barrier generations released by the window driver.
-    pub releases: u64,
-}
-
-impl PdesTelemetry {
-    /// Mean events dispatched per window.
-    pub fn events_per_window(&self) -> f64 {
-        self.events as f64 / (self.windows.max(1)) as f64
-    }
-
-    /// Mean cross-shard messages per window.
-    pub fn cross_messages_per_window(&self) -> f64 {
-        self.cross_messages as f64 / (self.windows.max(1)) as f64
-    }
-}
-
 /// A fixed-bucket histogram of small integer samples (e.g. sharer counts).
 ///
 /// Samples at or above the bucket count land in the final, overflow bucket.
@@ -148,7 +108,7 @@ const LAT_BUCKETS: usize = 2 * LAT_SUB + (64 - LAT_SUB_BITS as usize - 1) * LAT_
 /// quantile error at ~3% while keeping the footprint fixed (no stored
 /// samples, so millions of ops cost nothing). Merging is bucket-wise
 /// addition — commutative and order-independent, so per-node histograms
-/// folded together are identical at every simulator thread count.
+/// folded together are identical in whatever order they are folded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatHistogram {
     counts: Vec<u64>,

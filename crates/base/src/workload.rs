@@ -178,8 +178,8 @@ impl Layout {
 /// Streams are pulled in bounded *chunks* so that workloads with hundreds
 /// of millions of ops never materialize them all at once.
 ///
-/// `Send` because the parallel simulator pulls chunks from worker
-/// threads (behind a mutex — one puller at a time, so no `Sync` bound).
+/// `Send` so a machine that owns one can move to a sweep worker thread;
+/// a simulation itself runs on one thread.
 pub trait Workload: Send {
     /// A short name ("em3d", "ocean", ...).
     fn name(&self) -> &'static str;

@@ -68,7 +68,6 @@ fn main() {
     let usage = format!("figure3 {} [--apps a,b,...]", cli::SHARED_FLAGS);
     let cli = cli::or_exit(parsed, &usage);
     let cfg = cli.config();
-    tt_bench::assert_sim_threads_identity(&cfg);
     println!(
         "FIGURE 3. Typhoon/Stache execution time relative to DirNNB \
          ({nodes} nodes, scale 1/{scale}).\n",
@@ -109,7 +108,6 @@ fn main() {
                 cycles: point.typhoon.raw(),
                 wall_secs: point.typhoon_stats.wall_secs,
                 ops: point.typhoon_stats.ops,
-                pdes: point.typhoon_stats.pdes,
                 extra: cost_fragment(cli.nodes, point.typhoon.raw(), &point.typhoon_stats),
             });
             records.push(PointRecord {
@@ -118,7 +116,6 @@ fn main() {
                 cycles: point.dirnnb.raw(),
                 wall_secs: point.dirnnb_stats.wall_secs,
                 ops: point.dirnnb_stats.ops,
-                pdes: point.dirnnb_stats.pdes,
                 extra: cost_fragment(cli.nodes, point.dirnnb.raw(), &point.dirnnb_stats),
             });
         }

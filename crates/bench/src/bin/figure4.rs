@@ -22,7 +22,6 @@ fn main() {
     let usage = format!("figure4 {}", cli::SHARED_FLAGS);
     let cli = cli::or_exit(tt_bench::parse_cli(&args, 4), &usage);
     let cfg = cli.config();
-    tt_bench::assert_sim_threads_identity(&cfg);
     println!(
         "FIGURE 4. EM3D update-protocol performance, large data set \
          ({nodes} nodes, scale 1/{scale}).\n",
@@ -58,7 +57,6 @@ fn main() {
                 cycles: p.cycles[i].raw(),
                 wall_secs: p.stats[i].wall_secs,
                 ops: p.stats[i].ops,
-                pdes: p.stats[i].pdes,
                 extra: None,
             });
         }

@@ -2,24 +2,16 @@
 //! line.
 //!
 //! ```text
-//! tt-check run [--seeds N] [--base B] [--sim-threads N] [--window-policy P]
-//!              [--topology T] [--faults] [--fault-seed F] [--planted-bug] [--out PATH]
-//! tt-check replay --seed S [--sim-threads N] [--window-policy P]
-//!                 [--topology T] [--faults] [--fault-seed F]
-//! tt-check kv [--seeds N] [--base B] [--seed S] [--sim-threads N] [--window-policy P]
-//!             [--topology T] [--faults] [--fault-seed F]
+//! tt-check run [--seeds N] [--base B] [--topology T] [--faults] [--fault-seed F]
+//!              [--planted-bug] [--out PATH]
+//! tt-check replay --seed S [--topology T] [--faults] [--fault-seed F]
+//! tt-check kv [--seeds N] [--base B] [--seed S] [--topology T] [--faults] [--fault-seed F]
 //! ```
 //!
 //! `run` fuzzes `N` consecutive seeds (litmus workloads × schedule
-//! perturbations including sequential-vs-parallel simulation,
-//! differential across both machines) and exits non-zero on the first
-//! failure, printing the seed so `tt-check replay --seed S` reproduces
-//! it bit-exactly. `--sim-threads N` (on either command) forces the
-//! parallel-differential leg to `N` simulator threads on every case —
-//! the case shapes and every other perturbation stay seed-derived —
-//! instead of letting each seed draw its own thread count.
-//! `--window-policy fixed|adaptive` likewise forces the parallel leg's
-//! window-advance policy instead of each seed's coin flip.
+//! perturbations, differential across both machines) and exits non-zero
+//! on the first failure, printing the seed so `tt-check replay --seed S`
+//! reproduces it bit-exactly.
 //! `--topology ideal|mesh[:W]|fat-tree[:A]` forces the interconnect of
 //! the Typhoon legs instead of each seed's draw; the DirNNB reference
 //! leg always runs the ideal pipe, so mesh cases are checked against a
@@ -44,7 +36,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use tt_base::{NodeId, Topology, WindowPolicy};
+use tt_base::{NodeId, Topology};
 use tt_bench::json::{git_rev, hostname};
 use tt_check::scenarios::SkipInvalidate;
 use tt_check::{
@@ -55,14 +47,13 @@ use tt_stache::ReliableConfig;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tt-check run [--seeds N] [--base B] [--sim-threads N] \
-         [--window-policy fixed|adaptive] [--topology ideal|mesh[:W]|fat-tree[:A]] \
+        "usage: tt-check run [--seeds N] [--base B] \
+         [--topology ideal|mesh[:W]|fat-tree[:A]] \
          [--faults] [--fault-seed F] \
          [--planted-bug] [--out PATH]\n\
-         \x20      tt-check replay --seed S [--sim-threads N] \
-         [--window-policy fixed|adaptive] [--topology T] [--faults] [--fault-seed F]\n\
-         \x20      tt-check kv [--seeds N] [--base B] [--seed S] [--sim-threads N] \
-         [--window-policy fixed|adaptive] [--topology T] [--faults] [--fault-seed F]\n\
+         \x20      tt-check replay --seed S [--topology T] [--faults] [--fault-seed F]\n\
+         \x20      tt-check kv [--seeds N] [--base B] [--seed S] \
+         [--topology T] [--faults] [--fault-seed F]\n\
          \n\
          --faults draws a seed-derived lossy-network schedule per case \
          (drops, duplicates,\n\
@@ -75,16 +66,6 @@ fn usage() -> ! {
          duplicate suppression) instead of the Stache one."
     );
     std::process::exit(2);
-}
-
-fn parse_policy(args: &[String], i: &mut usize) -> WindowPolicy {
-    *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("tt-check: --window-policy needs `fixed` or `adaptive`");
-            usage()
-        })
 }
 
 fn parse_topology(args: &[String], i: &mut usize) -> Topology {
@@ -216,10 +197,6 @@ fn cmd_run(args: &[String]) -> i32 {
         match args[i].as_str() {
             "--seeds" => seeds = parse_u64(args, &mut i, "--seeds"),
             "--base" => base = parse_u64(args, &mut i, "--base"),
-            "--sim-threads" => {
-                options.sim_threads = Some(parse_u64(args, &mut i, "--sim-threads") as usize)
-            }
-            "--window-policy" => options.window_policy = Some(parse_policy(args, &mut i)),
             "--topology" => options.topology = Some(parse_topology(args, &mut i)),
             "--faults" => options.faults = true,
             "--fault-seed" => {
@@ -315,10 +292,6 @@ fn cmd_replay(args: &[String]) -> i32 {
     while i < args.len() {
         match args[i].as_str() {
             "--seed" => seed = Some(parse_u64(args, &mut i, "--seed")),
-            "--sim-threads" => {
-                options.sim_threads = Some(parse_u64(args, &mut i, "--sim-threads") as usize)
-            }
-            "--window-policy" => options.window_policy = Some(parse_policy(args, &mut i)),
             "--topology" => options.topology = Some(parse_topology(args, &mut i)),
             "--faults" => options.faults = true,
             "--fault-seed" => {
@@ -349,8 +322,8 @@ fn cmd_replay(args: &[String]) -> i32 {
 
 /// `tt-check kv`: the KV-serving litmus family. Fuzzes `--seeds`
 /// consecutive seeds through the three-machine differential
-/// (Stache-served, write-update-served, DirNNB) plus the parallel
-/// reruns; `--seed S` replays one seed instead.
+/// (Stache-served, write-update-served, DirNNB); `--seed S` replays one
+/// seed instead.
 fn cmd_kv(args: &[String]) -> i32 {
     let mut seeds: u64 = 200;
     let mut base: u64 = 0;
@@ -362,10 +335,6 @@ fn cmd_kv(args: &[String]) -> i32 {
             "--seeds" => seeds = parse_u64(args, &mut i, "--seeds"),
             "--base" => base = parse_u64(args, &mut i, "--base"),
             "--seed" => replay = Some(parse_u64(args, &mut i, "--seed")),
-            "--sim-threads" => {
-                options.sim_threads = Some(parse_u64(args, &mut i, "--sim-threads") as usize)
-            }
-            "--window-policy" => options.window_policy = Some(parse_policy(args, &mut i)),
             "--topology" => options.topology = Some(parse_topology(args, &mut i)),
             "--faults" => options.faults = true,
             "--fault-seed" => {

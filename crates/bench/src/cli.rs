@@ -1,14 +1,14 @@
 //! Command-line parsing shared by every harness binary.
 //!
 //! `figure3`, `figure4`, `ablations`, and `kv_bench` all take the same
-//! simulator knobs (`--jobs`, `--repeat`, `--sim-threads`,
-//! `--sim-shards`, `--window-policy`, `--json`, ...); this module parses
-//! them once into a [`Cli`] and owns the equally repetitive tail — the
+//! simulator knobs (`--jobs`, `--repeat`, `--topology`, `--json`, ...);
+//! this module parses them once into a [`Cli`] and owns the equally
+//! repetitive tail — the
 //! [`SweepMeta`] header and `--json` report write. Binaries with extra
 //! flags hook them in through [`parse_cli_with`] instead of forking the
 //! parser.
 
-use tt_base::{SystemConfig, Topology, WindowPolicy};
+use tt_base::{SystemConfig, Topology};
 
 use crate::json::{write_report, PointRecord, SweepMeta};
 use crate::{bench_config, par};
@@ -26,17 +26,6 @@ pub struct Cli {
     /// Runs per point; wall timings are min-of-N (default 1). Cycle
     /// counts are asserted identical across repeats.
     pub repeat: usize,
-    /// OS threads *inside* each simulation (conservative PDES; default 1
-    /// = sequential). Orthogonal to `jobs`, which parallelizes across
-    /// sweep points. Any value produces identical tables.
-    pub sim_threads: usize,
-    /// Shards per simulation (0 = one per sim thread). More shards than
-    /// threads makes each worker multiplex, which narrows windows less
-    /// under the adaptive policy. Any value produces identical tables.
-    pub sim_shards: usize,
-    /// Window-advance policy for parallel simulations (fixed quantum or
-    /// adaptive per-shard widening). Identical tables either way.
-    pub window_policy: WindowPolicy,
     /// Interconnect model (`ideal` keeps the paper's constant-latency
     /// pipe and its byte-identical tables; `mesh[:width]` /
     /// `fat-tree[:arity]` add per-link occupancy).
@@ -46,14 +35,10 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// The [`bench_config`] for this invocation, with the
-    /// `--sim-threads`, `--sim-shards`, and `--window-policy` settings
-    /// applied.
+    /// The [`bench_config`] for this invocation, with the `--topology`
+    /// setting applied.
     pub fn config(&self) -> SystemConfig {
         let mut cfg = bench_config(self.nodes);
-        cfg.sim_threads = self.sim_threads;
-        cfg.sim_shards = self.sim_shards;
-        cfg.window_policy = self.window_policy;
         cfg.topology = self.topology;
         cfg
     }
@@ -66,9 +51,6 @@ impl Cli {
             scale: self.scale,
             jobs: self.jobs,
             repeat: self.repeat,
-            sim_threads: self.sim_threads,
-            sim_shards: self.sim_shards,
-            window_policy: self.window_policy,
             topology: self.topology,
             total_wall_secs,
         }
@@ -87,7 +69,6 @@ impl Cli {
 
 /// Usage text for the flags every harness binary shares.
 pub const SHARED_FLAGS: &str = "[--scale N] [--nodes N] [--jobs N] [--repeat N] \
-     [--sim-threads N] [--sim-shards N] [--window-policy fixed|adaptive] \
      [--topology ideal|mesh[:W]|fat-tree[:A]] [--json PATH] [--full]";
 
 /// Why a command line was rejected.
@@ -120,7 +101,6 @@ pub fn or_exit<T>(parsed: Result<T, CliError>, usage: &str) -> T {
 }
 
 /// Parses `--scale N`, `--nodes N`, `--full`, `--jobs N`, `--repeat N`,
-/// `--sim-threads N`, `--sim-shards N`, `--window-policy fixed|adaptive`,
 /// `--topology ideal|mesh[:W]|fat-tree[:A]`, and `--json PATH` arguments
 /// shared by the harness binaries ([`SHARED_FLAGS`]).
 pub fn parse_cli(args: &[String], default_scale: usize) -> Result<Cli, CliError> {
@@ -141,9 +121,6 @@ pub fn parse_cli_with(
         nodes: 32,
         jobs: par::default_jobs(),
         repeat: 1,
-        sim_threads: 1,
-        sim_shards: 0,
-        window_policy: WindowPolicy::Fixed,
         topology: Topology::Ideal,
         json: None,
     };
@@ -165,20 +142,6 @@ pub fn parse_cli_with(
             }
             "--repeat" => {
                 cli.repeat = number(args, i, "--repeat")?.max(1);
-                i += 2;
-            }
-            "--sim-threads" => {
-                cli.sim_threads = number(args, i, "--sim-threads")?.max(1);
-                i += 2;
-            }
-            "--sim-shards" => {
-                cli.sim_shards = number(args, i, "--sim-shards")?;
-                i += 2;
-            }
-            "--window-policy" => {
-                cli.window_policy = value(args, i, "--window-policy")?
-                    .parse()
-                    .map_err(|e| CliError::Bad(format!("--window-policy: {e}")))?;
                 i += 2;
             }
             "--topology" => {
@@ -219,12 +182,6 @@ pub fn number(args: &[String], i: usize, flag: &str) -> Result<usize, CliError> 
         .map_err(|e| CliError::Bad(format!("{flag} N: {e}")))
 }
 
-/// Parses `--scale N`, `--nodes N`, `--full` style arguments shared by
-/// the harness binaries. Returns `(scale, nodes)`.
-pub fn parse_args(args: &[String], default_scale: usize) -> Result<(usize, usize), CliError> {
-    parse_cli(args, default_scale).map(|cli| (cli.scale, cli.nodes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,13 +210,13 @@ mod tests {
 
     #[test]
     fn sweep_meta_mirrors_the_cli() {
-        let args = strs(&["--sim-threads", "3", "--window-policy", "adaptive"]);
+        let args = strs(&["--repeat", "3", "--jobs", "2"]);
         let cli = parse_cli(&args, 7).unwrap();
         let meta = cli.sweep_meta("figX", 1.5);
         assert_eq!(meta.figure, "figX");
         assert_eq!(meta.scale, 7);
-        assert_eq!(meta.sim_threads, 3);
-        assert_eq!(meta.window_policy, WindowPolicy::Adaptive);
+        assert_eq!(meta.repeat, 3);
+        assert_eq!(meta.jobs, 2);
         assert_eq!(meta.topology, Topology::Ideal);
     }
 
@@ -289,9 +246,5 @@ mod tests {
         assert!(
             matches!(err(&["--topology", "ring"]), CliError::Bad(m) if m.starts_with("--topology"))
         );
-        assert!(matches!(
-            err(&["--window-policy", "eager"]),
-            CliError::Bad(m) if m.starts_with("--window-policy")
-        ));
     }
 }

@@ -47,11 +47,13 @@ fn help_prints_usage_and_exits_2() {
 #[test]
 fn unknown_flags_and_bad_values_print_usage_and_exit_2() {
     for (name, exe) in BINARIES {
-        let cases: [(&[&str], &str); 4] = [
+        let cases: [(&[&str], &str); 5] = [
             (&["--bogus"], "unknown argument --bogus"),
             (&["--jobs"], "--jobs requires a value"),
             (&["--jobs", "abc"], "--jobs N"),
             (&["--topology", "ring"], "--topology"),
+            // A removed flag is rejected like any other unknown one.
+            (&["--sim-threads", "2"], "unknown argument --sim-threads"),
         ];
         for (args, error) in cases {
             assert_usage_exit(name, &run(exe, args), Some(error));

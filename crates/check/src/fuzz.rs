@@ -17,18 +17,14 @@
 //! against each other and against the generator's happens-before
 //! prediction. Perturbations only touch *legal* nondeterminism
 //! (same-cycle ordering, latency within the network band, compute
-//! coalescing, direct execution, sequential vs. parallel simulation),
-//! so any divergence — a panic, an invariant trip, or an image
-//! mismatch — is a bug. When the seed draws `sim_threads > 1`, both
-//! machines additionally rerun under the conservative parallel
-//! simulator and must reproduce the sequential cycles and final images
-//! bit for bit.
+//! coalescing, direct execution), so any divergence — a panic, an
+//! invariant trip, or an image mismatch — is a bug.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use tt_base::workload::Layout;
-use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr, WindowPolicy};
+use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr};
 use tt_dirnnb::DirnnbMachine;
 use tt_mem::Tag;
 use tt_stache::{reliable_vn_policy, Reliable, ReliableConfig, StacheProtocol};
@@ -64,28 +60,18 @@ pub struct PerturbConfig {
     pub coalesce: bool,
     /// Run CPUs in direct-execution (event-frontier) mode.
     pub direct_execution: bool,
-    /// Simulator threads for the parallel differential leg (1 = skip
-    /// it). When > 1, both machines rerun under the conservative
-    /// parallel simulator and their cycles and final images must match
-    /// the sequential legs bit for bit.
-    pub sim_threads: usize,
-    /// Window-advance policy for the parallel differential leg.
-    /// Adaptive widening must never change cycles or images, so both
-    /// policies are drawn with equal probability.
-    pub window_policy: WindowPolicy,
     /// Lossy-network fault schedule for the Typhoon legs (`None` =
     /// perfect network). When set, the Stache legs run wrapped in the
     /// [`Reliable`] transport, the invariant budget widens (retries
     /// inflate the event count), and the DirNNB leg stays fault-free as
     /// the reference: faults may cost cycles but must never change the
-    /// final memory image. The fault schedule is keyed off deterministic
-    /// merge keys, so the parallel leg replays it bit-exactly.
+    /// final memory image. Fault decisions are pure hashes of per-link
+    /// state, so a seed replays its schedule bit-exactly.
     pub fault: Option<FaultSpec>,
     /// Interconnect model for the Typhoon legs. Routed topologies
     /// (mesh/fat-tree) change latencies — and therefore cycles — but
-    /// must never change the final memory image, and the parallel leg
-    /// must still reproduce the sequential cycles bit for bit. The
-    /// DirNNB reference leg always runs `Ideal`, mirroring the
+    /// must never change the final memory image. The DirNNB reference
+    /// leg always runs `Ideal`, mirroring the
     /// fault-free pristine-reference rule.
     pub topology: Topology,
 }
@@ -102,20 +88,19 @@ impl PerturbConfig {
             jitter_seed: rng.next_u64(),
             coalesce: rng.chance(0.5),
             direct_execution: rng.chance(0.5),
-            sim_threads: 1 + rng.below(3) as usize,
-            window_policy: if rng.chance(0.5) {
-                WindowPolicy::Adaptive
-            } else {
-                WindowPolicy::Fixed
-            },
             fault: None,
-            // Drawn last (newest dimension): half the seeds keep the
-            // ideal pipe, the rest split between the routed topologies
-            // with derived shape parameters (width/arity 0).
-            topology: match rng.below(4) {
-                0 | 1 => Topology::Ideal,
-                2 => Topology::Mesh2D { width: 0 },
-                _ => Topology::FatTree { arity: 0 },
+            topology: {
+                // Draws of two retired dimensions (simulator threads and
+                // window policy), discarded so later draws keep their values.
+                let _ = (rng.below(3), rng.chance(0.5));
+                // Drawn last (newest dimension): half the seeds keep the
+                // ideal pipe, the rest split between the routed topologies
+                // with derived shape parameters (width/arity 0).
+                match rng.below(4) {
+                    0 | 1 => Topology::Ideal,
+                    2 => Topology::Mesh2D { width: 0 },
+                    _ => Topology::FatTree { arity: 0 },
+                }
             },
         }
     }
@@ -137,8 +122,6 @@ impl PerturbConfig {
             jitter_seed: 0,
             coalesce: false,
             direct_execution: false,
-            sim_threads: 1,
-            window_policy: WindowPolicy::Fixed,
             fault: None,
             topology: Topology::Ideal,
         }
@@ -180,8 +163,7 @@ pub struct Failure {
     pub cfg: LitmusConfig,
     /// The schedule perturbation in force.
     pub perturb: PerturbConfig,
-    /// Which stage failed: `"typhoon"`, `"dirnnb"`, `"differential"`,
-    /// or `"parallel"` (sequential-vs-parallel simulator divergence).
+    /// Which stage failed: `"typhoon"`, `"dirnnb"`, or `"differential"`.
     pub stage: &'static str,
     /// The panic message or mismatch description.
     pub message: String,
@@ -217,13 +199,12 @@ impl std::fmt::Display for Failure {
         if let Some(p) = &self.shrunk_perturb {
             write!(
                 f,
-                " (schedule shrunk to tie={} jitter={} coalesce={} direct={} threads={} \
+                " (schedule shrunk to tie={} jitter={} coalesce={} direct={} \
                  topology={} {})",
                 p.tie_shuffle.is_some(),
                 p.jitter_max,
                 p.coalesce,
                 p.direct_execution,
-                p.sim_threads,
                 p.topology,
                 match &p.fault {
                     Some(fs) => fault_summary(fs),
@@ -426,138 +407,19 @@ pub fn run_case_full(
         }
     }
 
-    // Parallel differential: the same case under the conservative
-    // parallel simulator must reproduce the sequential legs bit for
-    // bit — cycles and final images. (The invariant engine needs the
-    // single total event order, so the parallel Typhoon leg runs plain.)
-    if perturb.sim_threads > 1 {
-        let mut parcfg = syscfg.clone();
-        parcfg.sim_threads = perturb.sim_threads;
-        parcfg.window_policy = perturb.window_policy;
-
-        let (par_typhoon_cycles, par_typhoon_image) = {
-            let parcfg = parcfg.clone();
-            let litmus = &litmus;
-            catch(move || {
-                let mut m = TyphoonMachine::new(
-                    parcfg,
-                    Box::new(litmus.workload(perturb.coalesce)),
-                    tfactory,
-                );
-                if let Some(seed) = perturb.tie_shuffle {
-                    m.set_tie_shuffle(seed);
-                }
-                if perturb.jitter_max > 0 {
-                    m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
-                }
-                let r = m.run();
-                let image: Vec<(VAddr, u64)> = litmus
-                    .finals
-                    .iter()
-                    .map(|&(a, _)| (a, typhoon_word(&m, a)))
-                    .collect();
-                (r.cycles, image)
-            })
-            .map_err(|msg| fail("parallel", msg))?
-        };
-        let (par_dirnnb_cycles, par_dirnnb_image) = {
-            let mut parcfg = parcfg.clone();
-            parcfg.fault = None;
-            parcfg.topology = Topology::Ideal;
-            let litmus = &litmus;
-            catch(move || {
-                let mut m = DirnnbMachine::new(parcfg, Box::new(litmus.workload(perturb.coalesce)));
-                if let Some(seed) = perturb.tie_shuffle {
-                    m.set_tie_shuffle(seed);
-                }
-                let r = m.run();
-                let image: Vec<(VAddr, u64)> = litmus
-                    .finals
-                    .iter()
-                    .map(|&(a, _)| (a, m.shared_word(a)))
-                    .collect();
-                (r.cycles, image)
-            })
-            .map_err(|msg| fail("parallel", msg))?
-        };
-        if par_typhoon_cycles != typhoon_cycles {
-            return Err(fail(
-                "parallel",
-                format!(
-                    "typhoon cycles diverged under sim_threads={} policy={}: \
-                     sequential {}, parallel {}",
-                    perturb.sim_threads, perturb.window_policy, typhoon_cycles, par_typhoon_cycles
-                ),
-            ));
-        }
-        if par_dirnnb_cycles != dirnnb_cycles {
-            return Err(fail(
-                "parallel",
-                format!(
-                    "dirnnb cycles diverged under sim_threads={} policy={}: \
-                     sequential {}, parallel {}",
-                    perturb.sim_threads, perturb.window_policy, dirnnb_cycles, par_dirnnb_cycles
-                ),
-            ));
-        }
-        if par_typhoon_image != typhoon_image || par_dirnnb_image != dirnnb_image {
-            return Err(fail(
-                "parallel",
-                format!(
-                    "final image diverged under sim_threads={} policy={}",
-                    perturb.sim_threads, perturb.window_policy
-                ),
-            ));
-        }
-    }
-
     Ok(CaseResult { typhoon_cycles, dirnnb_cycles, events })
 }
 
 /// Derives the case and perturbation from `seed` and runs it. This is
 /// also `replay`: the same seed always reruns the identical case.
 pub fn run_seed(seed: u64) -> Result<CaseResult, Box<Failure>> {
-    run_seed_with_threads(seed, None)
-}
-
-/// [`run_seed`] with the parallel-differential thread count forced
-/// (`tt-check replay --sim-threads N`): the seed's case and all other
-/// perturbations are reproduced bit-exactly, but the parallel legs run
-/// at `N` threads (1 = sequential only). `None` keeps the seed's own
-/// derived thread count.
-pub fn run_seed_with_threads(
-    seed: u64,
-    sim_threads: Option<usize>,
-) -> Result<CaseResult, Box<Failure>> {
-    run_seed_with_overrides(seed, sim_threads, None)
-}
-
-/// [`run_seed_with_threads`] with the window policy of the parallel leg
-/// also forceable (`tt-check replay --window-policy adaptive`). `None`
-/// keeps the seed's own drawn policy.
-pub fn run_seed_with_overrides(
-    seed: u64,
-    sim_threads: Option<usize>,
-    window_policy: Option<WindowPolicy>,
-) -> Result<CaseResult, Box<Failure>> {
-    let options = FuzzOptions {
-        sim_threads,
-        window_policy,
-        ..FuzzOptions::default()
-    };
-    run_seed_with_options(seed, &options)
+    run_seed_with_options(seed, &FuzzOptions::default())
 }
 
 /// Cross-cutting knobs for a fuzzing run or replay — everything the
 /// `tt-check` CLI can force on top of the seed-derived shapes.
 #[derive(Clone, Debug, Default)]
 pub struct FuzzOptions {
-    /// Force the parallel-differential thread count (`None` = each
-    /// seed's own draw).
-    pub sim_threads: Option<usize>,
-    /// Force the parallel leg's window policy (`None` = each seed's
-    /// own draw).
-    pub window_policy: Option<WindowPolicy>,
     /// Enable the lossy-network dimension: every case gets a
     /// seed-derived fault schedule and the protocol runs behind the
     /// reliable transport.
@@ -578,12 +440,6 @@ impl FuzzOptions {
     /// The perturbation this options set produces for one seed.
     pub fn perturb_for(&self, seed: u64) -> PerturbConfig {
         let mut p = PerturbConfig::from_seed(seed);
-        if let Some(n) = self.sim_threads {
-            p.sim_threads = n.max(1);
-        }
-        if let Some(w) = self.window_policy {
-            p.window_policy = w;
-        }
         if self.faults || self.fault_seed.is_some() {
             let fs = self
                 .fault_seed
@@ -633,38 +489,7 @@ pub fn fuzz(base_seed: u64, count: u64) -> FuzzReport {
 
 /// Fuzzes with an injected protocol factory.
 pub fn fuzz_with(base_seed: u64, count: u64, factory: ProtocolFactory) -> FuzzReport {
-    fuzz_with_threads(base_seed, count, None, factory)
-}
-
-/// [`fuzz_with`] with the parallel-differential thread count forced on
-/// every seed (`tt-check run --sim-threads N`): each case keeps its
-/// seed-derived shape and perturbations but runs the
-/// sequential-vs-parallel differential at exactly `N` threads.
-pub fn fuzz_with_threads(
-    base_seed: u64,
-    count: u64,
-    sim_threads: Option<usize>,
-    factory: ProtocolFactory,
-) -> FuzzReport {
-    fuzz_with_overrides(base_seed, count, sim_threads, None, factory)
-}
-
-/// [`fuzz_with_threads`] with the window policy of every parallel leg
-/// also forceable (`tt-check run --window-policy adaptive`). `None`
-/// keeps each seed's own drawn policy.
-pub fn fuzz_with_overrides(
-    base_seed: u64,
-    count: u64,
-    sim_threads: Option<usize>,
-    window_policy: Option<WindowPolicy>,
-    factory: ProtocolFactory,
-) -> FuzzReport {
-    let options = FuzzOptions {
-        sim_threads,
-        window_policy,
-        ..FuzzOptions::default()
-    };
-    fuzz_with_options(base_seed, count, &options, factory)
+    fuzz_with_options(base_seed, count, &FuzzOptions::default(), factory)
 }
 
 /// Fuzzes `count` consecutive seeds under the full options set —
@@ -760,12 +585,6 @@ pub fn shrink_with_transport(
             if per.direct_execution {
                 candidates.push(PerturbConfig { direct_execution: false, ..per.clone() });
             }
-            if per.sim_threads > 1 {
-                candidates.push(PerturbConfig { sim_threads: 1, ..per.clone() });
-            }
-            if per.window_policy != WindowPolicy::Fixed {
-                candidates.push(PerturbConfig { window_policy: WindowPolicy::Fixed, ..per.clone() });
-            }
             if per.topology != Topology::Ideal {
                 candidates.push(PerturbConfig { topology: Topology::Ideal, ..per.clone() });
             }
@@ -807,26 +626,7 @@ mod tests {
         for seed in 0..100 {
             assert_eq!(PerturbConfig::from_seed(seed), PerturbConfig::from_seed(seed));
             assert!(PerturbConfig::from_seed(seed).jitter_max <= 3);
-            assert!((1..=3).contains(&PerturbConfig::from_seed(seed).sim_threads));
         }
-        assert!(
-            (0..100).any(|s| PerturbConfig::from_seed(s).sim_threads > 1),
-            "some seeds must exercise the parallel differential"
-        );
-        assert!(
-            (0..100).any(|s| {
-                let p = PerturbConfig::from_seed(s);
-                p.sim_threads > 1 && p.window_policy == WindowPolicy::Adaptive
-            }),
-            "some seeds must exercise adaptive windows in the parallel leg"
-        );
-        assert!(
-            (0..100).any(|s| {
-                let p = PerturbConfig::from_seed(s);
-                p.sim_threads > 1 && p.window_policy == WindowPolicy::Fixed
-            }),
-            "some seeds must keep the fixed policy in the parallel leg"
-        );
         for shape in [
             Topology::Ideal,
             Topology::Mesh2D { width: 0 },
@@ -837,29 +637,42 @@ mod tests {
                 "some seeds must draw topology {shape}"
             );
         }
-        assert!(
-            (0..100).any(|s| {
-                let p = PerturbConfig::from_seed(s);
-                p.sim_threads > 1 && p.topology != Topology::Ideal
-            }),
-            "some seeds must run routed topologies through the parallel differential"
+    }
+
+    /// Seeds keep the shapes they had when the retired parallel-leg
+    /// dimensions were still drawn, so a logged seed replays the same
+    /// case. Values captured before those dimensions were removed.
+    #[test]
+    fn seeds_keep_their_historical_perturbations() {
+        let pinned = |seed, tie_shuffle, jitter_max, jitter_seed, coalesce, direct, topology| {
+            assert_eq!(
+                PerturbConfig::from_seed(seed),
+                PerturbConfig {
+                    tie_shuffle,
+                    jitter_max,
+                    jitter_seed,
+                    coalesce,
+                    direct_execution: direct,
+                    fault: None,
+                    topology,
+                },
+                "seed {seed}"
+            );
+        };
+        let mesh = Topology::Mesh2D { width: 0 };
+        let tree = Topology::FatTree { arity: 0 };
+        let ideal = Topology::Ideal;
+        pinned(0, Some(4546593954181015701), 0, 7133055505715044207, true, true, mesh);
+        pinned(1, Some(14114238853097170742), 2, 1000740627187379725, false, true, tree);
+        pinned(2, None, 1, 15140692562908715804, false, true, ideal);
+        pinned(3, Some(209740069791622052), 3, 16639847201113641552, true, false, ideal);
+        pinned(63, None, 3, 6543730191758350546, false, false, ideal);
+        let f = PerturbConfig::from_seed_with_faults(3).fault.expect("faults drawn");
+        assert_eq!(
+            (f.seed, f.drop_permille, f.dup_permille, f.corrupt_permille),
+            (12065743457767676854, 86, 119, 2)
         );
-    }
-
-    #[test]
-    fn replay_can_force_the_window_policy() {
-        let adaptive = run_seed_with_overrides(7, Some(3), Some(WindowPolicy::Adaptive))
-            .expect("seed 7 clean at 3 threads adaptive");
-        let fixed = run_seed_with_overrides(7, Some(3), Some(WindowPolicy::Fixed))
-            .expect("seed 7 clean at 3 threads fixed");
-        assert_eq!(adaptive, fixed, "window policy leaked into the case result");
-    }
-
-    #[test]
-    fn replay_can_force_the_parallel_leg() {
-        let forced = run_seed_with_threads(7, Some(3)).expect("seed 7 clean at 3 threads");
-        let seq = run_seed_with_threads(7, Some(1)).expect("seed 7 clean sequentially");
-        assert_eq!(forced, seq, "thread count leaked into the case result");
+        assert_eq!((f.partition_permille, f.partition_epoch), (266, 1054));
     }
 
     #[test]
@@ -909,19 +722,17 @@ mod tests {
     }
 
     #[test]
-    fn forced_fault_seed_is_bit_exact_across_sim_threads() {
-        // Same fault schedule, 1 vs 3 simulator threads: identical
-        // cycles (the images are checked inside the case itself).
-        let one = FuzzOptions {
+    fn forced_fault_seed_replays_bit_exactly() {
+        // The same forced fault schedule twice: identical cycles (the
+        // images are checked inside the case itself).
+        let options = FuzzOptions {
             faults: true,
             fault_seed: Some(0xFA17),
-            sim_threads: Some(1),
             ..FuzzOptions::default()
         };
-        let three = FuzzOptions { sim_threads: Some(3), ..one.clone() };
-        let a = run_seed_with_options(11, &one).expect("sequential faulty run clean");
-        let b = run_seed_with_options(11, &three).expect("3-thread faulty run clean");
-        assert_eq!(a, b, "fault schedule not bit-exact across sim-thread counts");
+        let a = run_seed_with_options(11, &options).expect("faulty run clean");
+        let b = run_seed_with_options(11, &options).expect("faulty replay clean");
+        assert_eq!(a, b, "forced fault schedule did not replay bit-exactly");
     }
 
     #[test]

@@ -31,16 +31,13 @@
 //!   sharer ReadOnly copies, so SWMR does not apply);
 //! - **DirNNB** (all-hardware baseline) on the raw-store variant.
 //!
-//! When the seed draws `sim_threads > 1`, both Typhoon legs rerun under
-//! the conservative parallel simulator and must reproduce their
-//! sequential cycles and images bit for bit. Seeds may also draw a
-//! *tight* stache frame budget, which forces page replacement under
+//! Seeds may also draw a *tight* stache frame budget, which forces page replacement under
 //! both protocols and exercises the update protocol's stale-copy path
 //! (updates arriving for pages the sharer has dropped).
 
 use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::workload::{coalesce_computes, Op, ScriptWorkload};
-use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr, WindowPolicy};
+use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_apps::kv_update::KvUpdateProtocol;
 use tt_dirnnb::DirnnbMachine;
 use tt_serve::{header_word, value_word, KvLayout, SharedKvLatency, KV_PUT_OP};
@@ -273,7 +270,7 @@ pub struct KvFailure {
     /// The schedule perturbation in force.
     pub perturb: PerturbConfig,
     /// Which leg failed: `"kv-stache"`, `"kv-update"`, `"kv-dirnnb"`,
-    /// `"kv-differential"`, or `"kv-parallel"`.
+    /// or `"kv-differential"`.
     pub stage: &'static str,
     /// The panic message or mismatch description.
     pub message: String,
@@ -313,9 +310,7 @@ pub struct KvCaseResult {
     pub events: u64,
 }
 
-/// Runs one KV case: three legs, a four-way image differential, and —
-/// when the perturbation draws threads — parallel-simulator reruns of
-/// both Typhoon legs.
+/// Runs one KV case: three legs and a four-way image differential.
 pub fn run_kv_case(
     cfg: &KvLitmusConfig,
     perturb: &PerturbConfig,
@@ -340,15 +335,10 @@ pub fn run_kv_case(
         syscfg.stache_capacity_bytes = 2 * PAGE_BYTES;
     }
 
-    let run_typhoon = |parallel: bool,
-                       update_variant: bool,
+    let run_typhoon = |update_variant: bool,
                        observe: bool|
      -> Result<(Cycles, SlotWords, u64), String> {
-        let mut runcfg = syscfg.clone();
-        if parallel {
-            runcfg.sim_threads = perturb.sim_threads;
-            runcfg.window_policy = perturb.window_policy;
-        }
+        let runcfg = syscfg.clone();
         let litmus = &litmus;
         catch(move || {
             let workload = Box::new(litmus.workload(update_variant, perturb.coalesce));
@@ -363,8 +353,7 @@ pub fn run_kv_case(
             };
             // Under a fault schedule both protocols — Stache *and* the
             // custom kv_update protocol — run behind the reliable
-            // transport; the fault plan replays identically on the
-            // parallel reruns via the deterministic merge keys.
+            // transport.
             let factory: BoxedFactory = if perturb.fault.is_some() {
                 Box::new(move |id, layout, cfg| {
                     Box::new(Reliable::with_config(
@@ -403,17 +392,15 @@ pub fn run_kv_case(
         })
     };
 
-    // Leg 1: Typhoon + Stache on raw stores, invariant engine on (the
-    // engine needs the sequential single total order, so observation
-    // happens on the sequential run).
+    // Leg 1: Typhoon + Stache on raw stores, invariant engine on.
     let (stache_cycles, stache_image, events) =
-        run_typhoon(false, false, true).map_err(|m| fail("kv-stache", m))?;
+        run_typhoon(false, true).map_err(|m| fail("kv-stache", m))?;
 
     // Leg 2: Typhoon + the write-update protocol on staged puts. No
     // invariant engine: home-ReadWrite + sharer-ReadOnly is this
     // protocol's intended tag state and violates SWMR by design.
     let (update_cycles, update_image, _) =
-        run_typhoon(false, true, false).map_err(|m| fail("kv-update", m))?;
+        run_typhoon(true, false).map_err(|m| fail("kv-update", m))?;
 
     // Leg 3: DirNNB on raw stores — always fault-free and on the ideal
     // network; it is the pristine reference the lossy or mesh-routed
@@ -456,49 +443,12 @@ pub fn run_kv_case(
         }
     }
 
-    // Parallel differential: both Typhoon legs bit-identical under the
-    // conservative parallel simulator.
-    if perturb.sim_threads > 1 {
-        for (leg, update_variant, seq_cycles, seq_image) in [
-            ("kv-stache", false, stache_cycles, &stache_image),
-            ("kv-update", true, update_cycles, &update_image),
-        ] {
-            let (par_cycles, par_image, _) =
-                run_typhoon(true, update_variant, false).map_err(|m| fail("kv-parallel", m))?;
-            if par_cycles != seq_cycles {
-                return Err(fail(
-                    "kv-parallel",
-                    format!(
-                        "{leg} cycles diverged under sim_threads={} policy={}: \
-                         sequential {}, parallel {}",
-                        perturb.sim_threads, perturb.window_policy, seq_cycles, par_cycles
-                    ),
-                ));
-            }
-            if &par_image != seq_image {
-                return Err(fail(
-                    "kv-parallel",
-                    format!(
-                        "{leg} final image diverged under sim_threads={} policy={}",
-                        perturb.sim_threads, perturb.window_policy
-                    ),
-                ));
-            }
-        }
-    }
-
     Ok(KvCaseResult { stache_cycles, update_cycles, dirnnb_cycles, events })
 }
 
-/// Derives the KV case and perturbation from `seed` and runs it, with
-/// the parallel leg's thread count and window policy optionally forced.
-pub fn run_kv_seed(
-    seed: u64,
-    sim_threads: Option<usize>,
-    window_policy: Option<WindowPolicy>,
-) -> Result<KvCaseResult, Box<KvFailure>> {
-    let options = FuzzOptions { sim_threads, window_policy, ..FuzzOptions::default() };
-    run_kv_seed_with_options(seed, &options)
+/// Derives the KV case and perturbation from `seed` and runs it.
+pub fn run_kv_seed(seed: u64) -> Result<KvCaseResult, Box<KvFailure>> {
+    run_kv_seed_with_options(seed, &FuzzOptions::default())
 }
 
 /// [`run_kv_seed`] under the full options set, including the
@@ -521,16 +471,9 @@ pub struct KvFuzzReport {
 }
 
 /// Fuzzes `count` consecutive KV seeds starting at `base_seed`; stops
-/// at the first failure. Overrides force the parallel legs' shape on
-/// every seed (`None` keeps each seed's own draw).
-pub fn fuzz_kv(
-    base_seed: u64,
-    count: u64,
-    sim_threads: Option<usize>,
-    window_policy: Option<WindowPolicy>,
-) -> KvFuzzReport {
-    let options = FuzzOptions { sim_threads, window_policy, ..FuzzOptions::default() };
-    fuzz_kv_with_options(base_seed, count, &options)
+/// at the first failure.
+pub fn fuzz_kv(base_seed: u64, count: u64) -> KvFuzzReport {
+    fuzz_kv_with_options(base_seed, count, &FuzzOptions::default())
 }
 
 /// [`fuzz_kv`] under the full options set, including fault schedules.
@@ -581,23 +524,13 @@ mod tests {
 
     #[test]
     fn first_seeds_pass_the_differential() {
-        let report = fuzz_kv(0, 25, None, None);
+        let report = fuzz_kv(0, 25);
         assert!(
             report.failure.is_none(),
             "seed failed: {}",
             report.failure.unwrap()
         );
         assert_eq!(report.seeds_run, 25);
-    }
-
-    #[test]
-    fn forced_parallel_seeds_pass() {
-        let report = fuzz_kv(0, 10, Some(2), Some(WindowPolicy::Adaptive));
-        assert!(
-            report.failure.is_none(),
-            "seed failed: {}",
-            report.failure.unwrap()
-        );
     }
 
     #[test]
@@ -613,20 +546,16 @@ mod tests {
     }
 
     #[test]
-    fn same_fault_seed_is_bit_exact_across_sim_threads() {
-        // The acceptance bar for determinism: one fault schedule, run
-        // at 1 and at 3 simulator threads, must produce identical
-        // cycles on every leg (the parallel reruns inside the 3-thread
-        // case additionally pin the final images).
-        let base = FuzzOptions {
+    fn same_fault_seed_replays_bit_exactly() {
+        // One forced fault schedule, run twice, must produce identical
+        // cycles on every leg.
+        let options = FuzzOptions {
             faults: true,
             fault_seed: Some(0xFA17_5EED),
-            sim_threads: Some(1),
             ..FuzzOptions::default()
         };
-        let three = FuzzOptions { sim_threads: Some(3), ..base.clone() };
-        let a = run_kv_seed_with_options(5, &base).expect("sequential faulty kv run clean");
-        let b = run_kv_seed_with_options(5, &three).expect("3-thread faulty kv run clean");
-        assert_eq!(a, b, "kv fault schedule not bit-exact across sim-thread counts");
+        let a = run_kv_seed_with_options(5, &options).expect("faulty kv run clean");
+        let b = run_kv_seed_with_options(5, &options).expect("faulty kv replay clean");
+        assert_eq!(a, b, "kv fault schedule did not replay bit-exactly");
     }
 }

@@ -16,12 +16,10 @@
 //! 2. a **schedule fuzzer** ([`fuzz`]) — seed-generated litmus workloads
 //!    ([`litmus`]) run under perturbations of the machine's *legal*
 //!    nondeterminism (same-cycle tie-breaking, network latency jitter,
-//!    compute coalescing, direct execution on/off, sequential vs.
-//!    parallel simulation). Everything derives from one `u64` seed
-//!    through [`tt_base::DetRng`], so `tt-check replay --seed S`
-//!    reproduces a failure bit-exactly (`--sim-threads N` forces the
-//!    parallel leg's thread count), and a greedy shrinker reduces a
-//!    failing case to a minimal configuration;
+//!    compute coalescing, direct execution on/off). Everything derives
+//!    from one `u64` seed through [`tt_base::DetRng`], so
+//!    `tt-check replay --seed S` reproduces a failure bit-exactly, and a
+//!    greedy shrinker reduces a failing case to a minimal configuration;
 //! 3. a **differential checker** (also in [`fuzz`]) — the same workload
 //!    runs on `tt-typhoon` (user-level Stache protocol) and `tt-dirnnb`
 //!    (the hardware `Dir_N NB` baseline); final shared-memory images
@@ -47,9 +45,8 @@ pub mod litmus;
 pub mod scenarios;
 
 pub use fuzz::{
-    fuzz, fuzz_with, fuzz_with_options, fuzz_with_overrides, fuzz_with_threads, run_case,
-    run_case_full, run_case_with, run_seed, run_seed_with_options, run_seed_with_overrides,
-    run_seed_with_threads, shrink, shrink_with_transport, stache_factory, CaseResult, Failure,
+    fuzz, fuzz_with, fuzz_with_options, run_case, run_case_full, run_case_with, run_seed,
+    run_seed_with_options, shrink, shrink_with_transport, stache_factory, CaseResult, Failure,
     FuzzOptions, FuzzReport, PerturbConfig,
 };
 pub use invariants::InvariantChecker;

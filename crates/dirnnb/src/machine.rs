@@ -1,30 +1,18 @@
 //! The DirNNB machine: CPUs + hardware directory, driven by the same
-//! event engine and workload op streams as Typhoon.
-//!
-//! # Parallel simulation
-//!
-//! Like `TyphoonMachine`, the machine honors `SystemConfig::sim_threads`
-//! by splitting its nodes into contiguous shards under the conservative
-//! window scheme of [`tt_sim::pdes`]. Directory entries are touched only
-//! by events targeted at the block's home node, so each shard owns a
-//! private directory map covering its homes (merged back after the run
-//! for diagnostics). The one genuinely global structure is the coherent
-//! value image: accesses to it go through a mutex, which is sound for
-//! determinism because the protocol orders all same-word accesses by
-//! coherence — causally unordered accesses (the only ones that can race
-//! in wall-clock time inside a window) always touch different words.
-
-use std::sync::Mutex;
+//! event engine and workload op streams as Typhoon: one sequential
+//! event loop over a [`NodeQueue`], whose `(time, origin, counter)` keys
+//! take the handling node as the origin. Home-directed events (requests,
+//! acks, data, writebacks) are handled at the block's home node.
 
 use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::config::SystemConfig;
-use tt_base::stats::{Counter, PdesTelemetry, Report};
+use tt_base::stats::{Counter, Report};
 use tt_base::workload::{Op, Workload};
 use tt_base::{Cycles, DetRng, FxHashMap, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{AccessKind, CacheModel, FifoTlb};
 use tt_net::{Network, VirtualNet, ARG_WORD_BYTES, HANDLER_WORD_BYTES};
-use tt_sim::{ShardQueue, Windowing};
+use tt_sim::NodeQueue;
 
 use crate::dir::{DirBusy, DirReq, DirView, Directory};
 
@@ -71,7 +59,7 @@ struct Cpu {
     stats: CpuStats,
 }
 
-/// Directory statistics (per shard; summed into the report).
+/// Directory statistics.
 #[derive(Clone, Debug, Default)]
 struct DirStats {
     dir_ops: Counter,
@@ -79,16 +67,6 @@ struct DirStats {
     recalls: Counter,
     writebacks: Counter,
     deferred: Counter,
-}
-
-impl DirStats {
-    fn absorb(&mut self, other: &DirStats) {
-        self.dir_ops.add(other.dir_ops.get());
-        self.invalidations.add(other.invalidations.get());
-        self.recalls.add(other.recalls.get());
-        self.writebacks.add(other.writebacks.get());
-        self.deferred.add(other.deferred.get());
-    }
 }
 
 /// Simulation events.
@@ -106,10 +84,9 @@ pub enum Event {
     BarrierRelease { generation: u64 },
 }
 
-/// Barrier bookkeeping a shard carries (see the Typhoon equivalent):
-/// arrival aggregation lives in the queue/driver, this only tracks the
-/// generation and release count, which every shard observes identically.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Barrier bookkeeping: the generation expected next and the release
+/// count (arrivals are counted by the queue).
+#[derive(Debug, Default)]
 struct BarrierTally {
     generation: u64,
     releases: u64,
@@ -125,10 +102,6 @@ pub struct RunResult {
     pub cycles: Cycles,
     /// Aggregated statistics.
     pub report: Report,
-    /// Host-side window-driver telemetry; `None` on the sequential path.
-    /// Kept out of `report` so sequential and parallel reports compare
-    /// equal.
-    pub pdes: Option<PdesTelemetry>,
 }
 
 /// The all-hardware DirNNB machine (see crate docs).
@@ -138,14 +111,11 @@ pub struct DirnnbMachine {
     cpus: Vec<Cpu>,
     dirs: Directory,
     home_map: FxHashMap<Vpn, NodeId>,
-    /// Owner→home page-count weights (`owner * nodes + home`), used to
-    /// pick shard cut points that keep directory traffic shard-local.
-    /// `None` when the node count makes the matrix not worth it.
-    home_affinity: Option<Vec<u64>>,
-    store: Mutex<FxHashMap<Vpn, StorePage>>,
+    /// The single coherent value image.
+    store: FxHashMap<Vpn, StorePage>,
     network: Network,
     barrier: BarrierTally,
-    workload: Mutex<Box<dyn Workload>>,
+    workload: Box<dyn Workload>,
     done: Vec<Option<Cycles>>,
     dir_stats: DirStats,
     verify_values: bool,
@@ -154,9 +124,10 @@ pub struct DirnnbMachine {
     tie_shuffle: Option<u64>,
 }
 
-/// The node an event's handling mutates (`None` = machine-global).
-/// Home-directed events (requests, acks, data, writebacks) are handled
-/// at the block's home, which takes the layout's home map to compute.
+/// The node an event's handling mutates (`None` = machine-global): the
+/// origin of everything its handler schedules. Home-directed events
+/// (requests, acks, data, writebacks) are handled at the block's home,
+/// which takes the layout's home map to compute.
 fn target_in(home_map: &FxHashMap<Vpn, NodeId>, event: &Event) -> Option<usize> {
     match *event {
         Event::CpuStep(n) => Some(n),
@@ -178,39 +149,16 @@ fn home_of_in(home_map: &FxHashMap<Vpn, NodeId>, addr: u64) -> NodeId {
         .unwrap_or_else(|| panic!("access to {addr:#x} outside the shared segment layout"))
 }
 
-/// A shard's view of the machine: the contiguous CPU range it owns, the
-/// directory entries of its home blocks, and the shared pieces.
-struct Shard<'m> {
-    cfg: &'m SystemConfig,
-    quantum: Cycles,
-    /// First global node index this shard owns.
-    first: usize,
-    cpus: &'m mut [Cpu],
-    done: &'m mut [Option<Cycles>],
-    /// Directory state homed at this shard's nodes. Disjoint across
-    /// shards because home-directed events are routed by home (and
-    /// directory pages align with the page-granular home map).
-    dirs: &'m mut Directory,
-    home_map: &'m FxHashMap<Vpn, NodeId>,
-    store: &'m Mutex<FxHashMap<Vpn, StorePage>>,
-    /// This shard's network instance (statistics only; folded back after
-    /// the run).
-    network: &'m mut Network,
-    workload: &'m Mutex<Box<dyn Workload>>,
-    barrier: &'m mut BarrierTally,
-    dir_stats: &'m mut DirStats,
-    verify_values: bool,
-}
-
 impl DirnnbMachine {
     /// Builds the machine for a workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.sim_threads` is 1 (the machine is sequential).
     pub fn new(cfg: SystemConfig, workload: Box<dyn Workload>) -> Self {
+        assert_eq!(cfg.sim_threads, 1, "the simulator is sequential: sim_threads must be 1");
         let layout = workload.layout();
         let mut home_map = FxHashMap::default();
-        // Owner→home page weights for the topology-aware shard map
-        // (skipped past 256 nodes, where the equal split is used).
-        let n = cfg.nodes;
-        let mut home_affinity = (2..=256).contains(&n).then(|| vec![0u64; n * n]);
         for (vpn, owner, _mode) in layout.pages(cfg.nodes) {
             let home = match cfg.dirnnb.placement {
                 tt_base::config::DirPlacement::RoundRobin => {
@@ -218,9 +166,6 @@ impl DirnnbMachine {
                 }
                 tt_base::config::DirPlacement::Owner => owner,
             };
-            if let Some(w) = home_affinity.as_mut() {
-                w[owner.index() * n + home.index()] += 1;
-            }
             home_map.insert(vpn, home);
         }
         let mut rng = DetRng::new(cfg.seed);
@@ -256,11 +201,10 @@ impl DirnnbMachine {
             quantum,
             cpus,
             home_map,
-            home_affinity,
-            store: Mutex::new(FxHashMap::default()),
+            store: FxHashMap::default(),
             network,
             barrier: BarrierTally::default(),
-            workload: Mutex::new(workload),
+            workload,
             done,
             dir_stats: DirStats::default(),
             verify_values,
@@ -280,8 +224,7 @@ impl DirnnbMachine {
     /// image (hardware coherence is exact by construction), so this *is*
     /// the final memory state once the machine has drained.
     pub fn shared_word(&mut self, addr: VAddr) -> u64 {
-        let mut store = self.store.lock().expect("store poisoned");
-        read_store(&mut store, addr)
+        read_store(&mut self.store, addr)
     }
 
     /// Values `node`'s CPU observed via `Op::ReadRecord` loads, in
@@ -290,226 +233,22 @@ impl DirnnbMachine {
         &self.cpus[node].recorded
     }
 
-    /// Runs the simulation to completion. `SystemConfig::sim_threads`
-    /// selects the sequential event loop or the windowed parallel one;
-    /// results are bit-identical either way.
+    /// Runs the simulation to completion.
     ///
     /// # Panics
     ///
     /// Panics on deadlock or on a value-verification failure, like
     /// `TyphoonMachine::run`.
     pub fn run(&mut self) -> RunResult {
-        let (shard_count, threads) = self.cfg.pdes_shape();
-        if shard_count == 1 {
-            self.run_sequential()
-        } else {
-            self.run_parallel(shard_count, threads)
-        }
-    }
-
-    /// Topology-aware shard map: contiguous `(first, len)` ranges whose
-    /// cut points maximize the owner→home page weight kept inside a
-    /// shard (equivalently, minimize cross-shard directory traffic),
-    /// subject to every shard size staying within one node of the equal
-    /// split — shard maps tune only wall-clock, never cycles, so load
-    /// balance must not be traded away wholesale. Deterministic: size
-    /// candidates are tried equal-split-first and only strict
-    /// improvements move a cut, so uniform weights (e.g. round-robin
-    /// placement) reproduce [`split_ranges`] exactly.
-    fn affinity_ranges(&self, parts: usize) -> Vec<(usize, usize)> {
-        let n = self.cfg.nodes;
-        let equal = split_ranges(n, parts);
-        let Some(w) = self.home_affinity.as_ref().filter(|_| (2..=n).contains(&parts)) else {
-            return equal;
-        };
-        // 2D prefix sums: pre[i][j] = Σ w[a][b] for a < i, b < j.
-        let m = n + 1;
-        let mut pre = vec![0u64; m * m];
-        for i in 0..n {
-            for j in 0..n {
-                pre[(i + 1) * m + j + 1] =
-                    w[i * n + j] + pre[i * m + j + 1] + pre[(i + 1) * m + j] - pre[i * m + j];
-            }
-        }
-        let intra = |a: usize, b: usize| -> u64 {
-            pre[b * m + b] + pre[a * m + a] - pre[a * m + b] - pre[b * m + a]
-        };
-        let lo = (n / parts).max(1);
-        let hi = n / parts + usize::from(!n.is_multiple_of(parts));
-        // best[s][c]: max intra weight over splits of nodes [0, c) into
-        // s shards; from[s][c] the cut that achieved it.
-        let mut best = vec![vec![None::<u64>; m]; parts + 1];
-        let mut from = vec![vec![0usize; m]; parts + 1];
-        best[0][0] = Some(0);
-        for s in 1..=parts {
-            let eq_len = equal[s - 1].1;
-            let mut sizes: Vec<usize> = (lo..=hi).collect();
-            sizes.sort_by_key(|&l| (l != eq_len, l));
-            for c in 1..=n {
-                for &len in &sizes {
-                    if len > c {
-                        continue;
-                    }
-                    let p = c - len;
-                    let Some(b) = best[s - 1][p] else { continue };
-                    let cand = b + intra(p, c);
-                    if best[s][c].is_none_or(|cur| cand > cur) {
-                        best[s][c] = Some(cand);
-                        from[s][c] = p;
-                    }
-                }
-            }
-        }
-        if best[parts][n].is_none() {
-            return equal;
-        }
-        let mut cuts = vec![n];
-        let mut c = n;
-        for s in (1..=parts).rev() {
-            c = from[s][c];
-            cuts.push(c);
-        }
-        cuts.reverse();
-        debug_assert_eq!(cuts[0], 0, "reconstruction must reach node 0");
-        (0..parts)
-            .map(|i| (cuts[i], cuts[i + 1] - cuts[i]))
-            .collect()
-    }
-
-    fn run_sequential(&mut self) -> RunResult {
-        let mut queue = ShardQueue::new(0, self.cfg.nodes);
+        let mut queue = NodeQueue::new(self.cfg.nodes, self.cfg.timing.barrier_latency);
         if let Some(seed) = self.tie_shuffle {
             queue.enable_tie_shuffle(seed);
         }
-        queue.enable_inline_barrier(self.cfg.nodes, self.cfg.timing.barrier_latency);
-        {
-            let mut shard = Shard {
-                cfg: &self.cfg,
-                quantum: self.quantum,
-                first: 0,
-                cpus: &mut self.cpus,
-                done: &mut self.done,
-                dirs: &mut self.dirs,
-                home_map: &self.home_map,
-                store: &self.store,
-                network: &mut self.network,
-                workload: &self.workload,
-                barrier: &mut self.barrier,
-                dir_stats: &mut self.dir_stats,
-                verify_values: self.verify_values,
-            };
-            shard.init_nodes(&mut queue);
-            while let Some((now, event)) = queue.pop() {
-                shard.handle(now, event, &mut queue);
-            }
+        self.init_nodes(&mut queue);
+        while let Some((now, event)) = queue.pop() {
+            self.handle(now, event, &mut queue);
         }
         self.finish()
-    }
-
-    fn run_parallel(&mut self, shard_count: usize, threads: usize) -> RunResult {
-        let nodes_total = self.cfg.nodes;
-        let lookahead = self.network.lookahead();
-        let release_delay = self.cfg.timing.barrier_latency;
-        let policy = self.cfg.window_policy;
-        let ranges = self.affinity_ranges(shard_count);
-        let telemetry;
-
-        let mut queues: Vec<ShardQueue<Event>> = ranges
-            .iter()
-            .map(|&(first, len)| {
-                let mut q = ShardQueue::new(first, len);
-                if let Some(seed) = self.tie_shuffle {
-                    q.enable_tie_shuffle(seed);
-                }
-                q
-            })
-            .collect();
-        let mut nets: Vec<Network> = (0..shard_count).map(|_| self.network.clone()).collect();
-        let mut tallies = vec![BarrierTally::default(); shard_count];
-        let mut shard_dirs: Vec<Directory> =
-            (0..shard_count).map(|_| Directory::new(nodes_total)).collect();
-        let mut shard_stats = vec![DirStats::default(); shard_count];
-
-        {
-            let DirnnbMachine {
-                cfg,
-                quantum,
-                cpus,
-                home_map,
-                store,
-                workload,
-                done,
-                verify_values,
-                ..
-            } = self;
-            let mut shards: Vec<Shard<'_>> = Vec::with_capacity(shard_count);
-            let mut cpus_rest = &mut cpus[..];
-            let mut done_rest = &mut done[..];
-            let mut nets_iter = nets.iter_mut();
-            let mut tally_iter = tallies.iter_mut();
-            let mut dirs_iter = shard_dirs.iter_mut();
-            let mut stats_iter = shard_stats.iter_mut();
-            for &(first, len) in &ranges {
-                let (shard_cpus, rest) = cpus_rest.split_at_mut(len);
-                cpus_rest = rest;
-                let (done_slice, rest) = done_rest.split_at_mut(len);
-                done_rest = rest;
-                shards.push(Shard {
-                    cfg,
-                    quantum: *quantum,
-                    first,
-                    cpus: shard_cpus,
-                    done: done_slice,
-                    dirs: dirs_iter.next().expect("one dir map per shard"),
-                    home_map,
-                    store,
-                    network: nets_iter.next().expect("one net per shard"),
-                    workload,
-                    barrier: tally_iter.next().expect("one tally per shard"),
-                    dir_stats: stats_iter.next().expect("one stats block per shard"),
-                    verify_values: *verify_values,
-                });
-            }
-            for (shard, queue) in shards.iter_mut().zip(queues.iter_mut()) {
-                shard.init_nodes(queue);
-            }
-            telemetry = tt_sim::run_windows(
-                &mut shards,
-                &mut queues,
-                Windowing {
-                    lookahead,
-                    release_delay,
-                    barrier_expected: nodes_total,
-                    policy,
-                    threads,
-                },
-                |shard: &mut Shard<'_>, now, event, queue| shard.handle(now, event, queue),
-                |_shard, queue, at, generation| {
-                    queue.deliver_release(at, generation, Event::BarrierRelease { generation })
-                },
-            )
-            .1;
-        }
-
-        for net in &nets {
-            self.network.absorb_stats(net);
-        }
-        for stats in &shard_stats {
-            self.dir_stats.absorb(stats);
-        }
-        // Fold shard directories back for post-run diagnostics; they are
-        // disjoint by construction (keyed by home).
-        for dirs in shard_dirs {
-            self.dirs.absorb(dirs);
-        }
-        assert!(
-            tallies.windows(2).all(|w| w[0] == w[1]),
-            "shards disagree on barrier history: {tallies:?}"
-        );
-        self.barrier = tallies[0].clone();
-        let mut result = self.finish();
-        result.pdes = Some(telemetry);
-        result
     }
 
     /// Asserts the machine drained cleanly and builds the result.
@@ -534,7 +273,6 @@ impl DirnnbMachine {
         RunResult {
             cycles,
             report: self.build_report(cycles),
-            pdes: None,
         }
     }
 
@@ -594,42 +332,11 @@ impl DirnnbMachine {
         r.push_count("net.bytes", net.total_bytes());
         r
     }
-}
 
-/// Contiguous `(first, len)` node ranges splitting `total` nodes into
-/// `parts` shards of near-equal size.
-fn split_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
-    (0..parts)
-        .map(|i| {
-            let first = i * total / parts;
-            let end = (i + 1) * total / parts;
-            (first, end - first)
-        })
-        .collect()
-}
-
-fn read_store(store: &mut FxHashMap<Vpn, StorePage>, addr: VAddr) -> u64 {
-    let page = store
-        .entry(addr.page())
-        .or_insert_with(|| Box::new([0u64; PAGE_BYTES / WORD_BYTES]));
-    page[(addr.page_offset() as usize) / WORD_BYTES]
-}
-
-fn write_store(store: &mut FxHashMap<Vpn, StorePage>, addr: VAddr, value: u64) {
-    let page = store
-        .entry(addr.page())
-        .or_insert_with(|| Box::new([0u64; PAGE_BYTES / WORD_BYTES]));
-    page[(addr.page_offset() as usize) / WORD_BYTES] = value;
-}
-
-impl<'m> Shard<'m> {
     /// Dispatches one event, declaring the handling node as the origin
     /// of everything the handler schedules.
-    fn handle(&mut self, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
-        match target_in(self.home_map, &event) {
-            Some(t) => queue.set_origin(t),
-            None => queue.set_origin_global(),
-        }
+    fn handle(&mut self, now: Cycles, event: Event, queue: &mut NodeQueue<Event>) {
+        queue.set_origin(target_in(&self.home_map, &event));
         match event {
             Event::CpuStep(n) => self.cpu_step(n, now, queue),
             Event::HomeRequest { addr, from, req } => {
@@ -647,22 +354,21 @@ impl<'m> Shard<'m> {
                 self.grant_arrived(addr, node as usize, req, now, queue)
             }
             Event::Writeback { addr, from } => self.writeback(addr, NodeId::new(from), now, queue),
-            Event::BarrierRelease { generation } => self.release_local(now, generation, queue),
+            Event::BarrierRelease { generation } => self.release(now, generation, queue),
         }
     }
 
-    /// Seeds the queue with each owned node's first CPU step.
-    fn init_nodes(&mut self, queue: &mut ShardQueue<Event>) {
-        for l in 0..self.cpus.len() {
-            let n = self.first + l;
-            queue.set_origin(n);
-            self.cpus[l].step_pending = true;
-            queue.schedule_for(Cycles::ZERO, n, Event::CpuStep(n));
+    /// Seeds the queue with each node's first CPU step.
+    fn init_nodes(&mut self, queue: &mut NodeQueue<Event>) {
+        for (n, cpu) in self.cpus.iter_mut().enumerate() {
+            queue.set_origin(Some(n));
+            cpu.step_pending = true;
+            queue.schedule(Cycles::ZERO, Event::CpuStep(n));
         }
     }
 
     fn home_of(&self, addr: u64) -> NodeId {
-        home_of_in(self.home_map, addr)
+        home_of_in(&self.home_map, addr)
     }
 
     /// Injects a protocol message at `inject` and returns its arrival
@@ -685,10 +391,9 @@ impl<'m> Shard<'m> {
     /// `self` — no re-indexing per op, mirroring `TyphoonMachine`.
     /// Memory ops break out to [`Self::access`], which needs the
     /// directory and network.
-    fn cpu_step(&mut self, n: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let l = n - self.first;
+    fn cpu_step(&mut self, n: usize, now: Cycles, queue: &mut NodeQueue<Event>) {
         {
-            let cpu = &mut self.cpus[l];
+            let cpu = &mut self.cpus[n];
             cpu.step_pending = false;
             if cpu.status != CpuStatus::Ready {
                 return;
@@ -700,7 +405,7 @@ impl<'m> Shard<'m> {
         let mut deadline = now + self.quantum;
         loop {
             let (addr, kind, value, expect, record) = {
-                let Shard {
+                let DirnnbMachine {
                     cfg,
                     quantum,
                     cpus,
@@ -709,15 +414,12 @@ impl<'m> Shard<'m> {
                     done,
                     ..
                 } = self;
-                let cpu = &mut cpus[l];
+                let cpu = &mut cpus[n];
                 loop {
                     // Refill the op chunk if exhausted, reusing its allocation.
                     if cpu.pc >= cpu.chunk.len() {
                         let mut chunk = std::mem::take(&mut cpu.chunk);
-                        let refilled = workload
-                            .lock()
-                            .expect("workload poisoned")
-                            .next_chunk_into(NodeId::new(n as u16), &mut chunk);
+                        let refilled = workload.next_chunk_into(NodeId::new(n as u16), &mut chunk);
                         if refilled {
                             cpu.chunk = chunk;
                             cpu.pc = 0;
@@ -726,7 +428,7 @@ impl<'m> Shard<'m> {
                             }
                         } else {
                             cpu.status = CpuStatus::Done;
-                            done[l] = Some(cpu.clock);
+                            done[n] = Some(cpu.clock);
                             return;
                         }
                     }
@@ -751,9 +453,7 @@ impl<'m> Shard<'m> {
                             cpu.status = CpuStatus::AtBarrier;
                             cpu.suspended_at = cpu.clock;
                             let arrival = cpu.clock;
-                            // Inline (single-shard) mode completes the
-                            // barrier here; windowed mode aggregates
-                            // arrivals at the window driver.
+                            // The last arrival schedules the release.
                             if let Some(release_at) = queue.note_barrier_arrival(arrival) {
                                 queue.schedule_global(
                                     release_at,
@@ -789,14 +489,10 @@ impl<'m> Shard<'m> {
                         // event lies strictly beyond this CPU's clock, the
                         // wakeup we are about to schedule would be the very
                         // next event popped — skip the queue round trip and
-                        // keep executing inline. Under the window scheme
-                        // the run must also stay below the window end. Only
-                        // the self-wakeup (a reserved key) is elided, so
-                        // reported cycles stay byte-identical.
-                        if cfg.direct_execution
-                            && queue.peek_time().is_none_or(|t| t > at)
-                            && queue.window_end().is_none_or(|end| at < end)
-                        {
+                        // keep executing inline. Only the self-wakeup (a
+                        // reserved key) is elided, so reported cycles stay
+                        // byte-identical.
+                        if cfg.direct_execution && queue.peek_time().is_none_or(|t| t > at) {
                             deadline = at + *quantum;
                             continue;
                         }
@@ -809,17 +505,14 @@ impl<'m> Shard<'m> {
             if !self.access(n, queue, addr, kind, value, expect, record) {
                 return;
             }
-            if self.cpus[l].clock >= deadline {
-                let at = self.cpus[l].clock;
+            if self.cpus[n].clock >= deadline {
+                let at = self.cpus[n].clock;
                 // Same direct-execution bypass as the inner loop; see there.
-                if self.cfg.direct_execution
-                    && queue.peek_time().is_none_or(|t| t > at)
-                    && queue.window_end().is_none_or(|end| at < end)
-                {
+                if self.cfg.direct_execution && queue.peek_time().is_none_or(|t| t > at) {
                     deadline = at + self.quantum;
                     continue;
                 }
-                let cpu = &mut self.cpus[l];
+                let cpu = &mut self.cpus[n];
                 cpu.step_pending = true;
                 queue.schedule_wakeup(at, n, Event::CpuStep(n));
                 return;
@@ -832,23 +525,22 @@ impl<'m> Shard<'m> {
     fn access(
         &mut self,
         n: usize,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut NodeQueue<Event>,
         addr: VAddr,
         kind: AccessKind,
         value: u64,
         expect: Option<u64>,
         record: bool,
     ) -> bool {
-        let l = n - self.first;
         let me = NodeId::new(n as u16);
         let block = addr.block_base().raw();
         let key = block / BLOCK_BYTES as u64;
         let mut cost = Cycles::new(1);
-        self.cpus[l].stats.ops.inc();
-        if !self.cpus[l].tlb.access(addr.page()) {
+        self.cpus[n].stats.ops.inc();
+        if !self.cpus[n].tlb.access(addr.page()) {
             cost += self.cfg.timing.tlb_miss;
         }
-        let probe = self.cpus[l].cache.probe(key);
+        let probe = self.cpus[n].cache.probe(key);
         let req = match (probe, kind) {
             (Probe::HitOwned, _) | (Probe::HitShared, AccessKind::Load) => None,
             (Probe::HitShared, AccessKind::Store) => Some(DirReq::Upgrade),
@@ -859,8 +551,8 @@ impl<'m> Shard<'m> {
             // Cache hit: no directory involvement, so the home lookup is
             // not needed — this is the per-op fast path.
             self.complete_access(n, addr, kind, value, expect, record);
-            self.cpus[l].clock += cost;
-            self.cpus[l].pc += 1;
+            self.cpus[n].clock += cost;
+            self.cpus[n].pc += 1;
             return true;
         };
         let home = self.home_of(addr.raw());
@@ -887,32 +579,32 @@ impl<'m> Shard<'m> {
             };
             if let Some(owned) = fast {
                 cost += self.cfg.timing.local_miss;
-                self.cpus[l].stats.local_misses.inc();
+                self.cpus[n].stats.local_misses.inc();
                 if req == DirReq::Upgrade {
                     // The line is already resident shared.
-                    self.cpus[l].cache.set_owned(key, true);
+                    self.cpus[n].cache.set_owned(key, true);
                 } else {
                     self.fill(n, key, owned, &mut cost, queue);
                 }
                 self.complete_access(n, addr, kind, value, expect, record);
-                self.cpus[l].clock += cost;
-                self.cpus[l].pc += 1;
+                self.cpus[n].clock += cost;
+                self.cpus[n].pc += 1;
                 return true;
             }
         }
 
         // Slow path: block and send the request to the home directory.
         if home == me {
-            self.cpus[l].stats.local_misses.inc();
+            self.cpus[n].stats.local_misses.inc();
         } else {
-            self.cpus[l].stats.remote_misses.inc();
+            self.cpus[n].stats.remote_misses.inc();
             cost += self.cfg.dirnnb.remote_miss_request;
         }
         if req == DirReq::Upgrade {
-            self.cpus[l].stats.upgrades.inc();
+            self.cpus[n].stats.upgrades.inc();
         }
         let inject = {
-            let cpu = &mut self.cpus[l];
+            let cpu = &mut self.cpus[n];
             cpu.clock += cost;
             cpu.status = CpuStatus::BlockedMiss;
             cpu.suspended_at = cpu.clock;
@@ -920,9 +612,8 @@ impl<'m> Shard<'m> {
             cpu.clock
         };
         let at = self.deliver(inject, me, home, false);
-        queue.schedule_for(
+        queue.schedule(
             at,
-            home.index(),
             Event::HomeRequest {
                 addr: block,
                 from: me.raw(),
@@ -943,16 +634,12 @@ impl<'m> Shard<'m> {
         expect: Option<u64>,
         record: bool,
     ) {
-        let l = n - self.first;
         match kind {
             AccessKind::Load => {
-                self.cpus[l].stats.reads.inc();
-                let got = {
-                    let mut store = self.store.lock().expect("store poisoned");
-                    read_store(&mut store, addr)
-                };
+                self.cpus[n].stats.reads.inc();
+                let got = read_store(&mut self.store, addr);
                 if record {
-                    self.cpus[l].recorded.push(got);
+                    self.cpus[n].recorded.push(got);
                 }
                 if self.verify_values {
                     if let Some(expect) = expect {
@@ -964,9 +651,8 @@ impl<'m> Shard<'m> {
                 }
             }
             AccessKind::Store => {
-                self.cpus[l].stats.writes.inc();
-                let mut store = self.store.lock().expect("store poisoned");
-                write_store(&mut store, addr, value);
+                self.cpus[n].stats.writes.inc();
+                write_store(&mut self.store, addr, value);
             }
         }
     }
@@ -979,10 +665,9 @@ impl<'m> Shard<'m> {
         key: u64,
         owned: bool,
         cost: &mut Cycles,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut NodeQueue<Event>,
     ) {
-        let l = n - self.first;
-        if let Some(victim) = self.cpus[l].cache.fill(key, owned) {
+        if let Some(victim) = self.cpus[n].cache.fill(key, owned) {
             *cost += if victim.owned {
                 self.cfg.dirnnb.replace_exclusive
             } else {
@@ -992,11 +677,10 @@ impl<'m> Shard<'m> {
                 let victim_addr = victim.block * BLOCK_BYTES as u64;
                 let home = self.home_of(victim_addr);
                 let me = NodeId::new(n as u16);
-                let clock = self.cpus[l].clock;
+                let clock = self.cpus[n].clock;
                 let at = self.deliver(clock.max(queue.now()), me, home, true);
-                queue.schedule_for(
+                queue.schedule(
                     at,
-                    home.index(),
                     Event::Writeback {
                         addr: victim_addr,
                         from: n as u16,
@@ -1014,7 +698,7 @@ impl<'m> Shard<'m> {
         from: NodeId,
         req: DirReq,
         now: Cycles,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut NodeQueue<Event>,
     ) {
         if self.dirs.is_busy(addr) {
             self.dir_stats.deferred.inc();
@@ -1045,9 +729,8 @@ impl<'m> Shard<'m> {
                 self.dir_stats.invalidations.add(targets.len() as u64);
                 for t in &targets {
                     let at = self.deliver(now + cost, home, *t, false);
-                    queue.schedule_for(
+                    queue.schedule(
                         at,
-                        t.index(),
                         Event::Invalidate {
                             addr,
                             node: t.raw(),
@@ -1067,9 +750,8 @@ impl<'m> Shard<'m> {
                 self.dir_stats.recalls.inc();
                 let cost = base + self.cfg.dirnnb.dir_op_per_msg;
                 let at = self.deliver(now + cost, home, owner, false);
-                queue.schedule_for(
+                queue.schedule(
                     at,
-                    owner.index(),
                     Event::Recall {
                         addr,
                         node: owner.raw(),
@@ -1089,7 +771,7 @@ impl<'m> Shard<'m> {
         to: NodeId,
         req: DirReq,
         at: Cycles,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut NodeQueue<Event>,
     ) {
         let home = self.home_of(addr);
         let mut cost = self.cfg.dirnnb.dir_op_per_msg;
@@ -1097,9 +779,8 @@ impl<'m> Shard<'m> {
             cost += self.cfg.dirnnb.dir_op_block_send;
         }
         let deliver = self.deliver(at + cost, home, to, req.needs_data());
-        queue.schedule_for(
+        queue.schedule(
             deliver,
-            to.index(),
             Event::Grant {
                 addr,
                 node: to.raw(),
@@ -1108,7 +789,7 @@ impl<'m> Shard<'m> {
         );
     }
 
-    fn home_ack(&mut self, addr: u64, now: Cycles, queue: &mut ShardQueue<Event>) {
+    fn home_ack(&mut self, addr: u64, now: Cycles, queue: &mut NodeQueue<Event>) {
         let Some(DirBusy::Invalidating { acks_left, to, req }) = self.dirs.busy(addr) else {
             panic!("ack for a block that is not invalidating");
         };
@@ -1130,7 +811,7 @@ impl<'m> Shard<'m> {
         self.drain_queue(addr, now, queue);
     }
 
-    fn home_data(&mut self, addr: u64, from: NodeId, now: Cycles, queue: &mut ShardQueue<Event>) {
+    fn home_data(&mut self, addr: u64, from: NodeId, now: Cycles, queue: &mut NodeQueue<Event>) {
         let Some(DirBusy::Recalling { owner, to, req }) = self.dirs.busy(addr) else {
             panic!("recall data for a block that is not recalling");
         };
@@ -1146,7 +827,7 @@ impl<'m> Shard<'m> {
         self.drain_queue(addr, now, queue);
     }
 
-    fn drain_queue(&mut self, addr: u64, now: Cycles, queue: &mut ShardQueue<Event>) {
+    fn drain_queue(&mut self, addr: u64, now: Cycles, queue: &mut NodeQueue<Event>) {
         loop {
             if self.dirs.is_busy(addr) {
                 return;
@@ -1158,16 +839,16 @@ impl<'m> Shard<'m> {
         }
     }
 
-    fn invalidate_at(&mut self, addr: u64, node: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
+    fn invalidate_at(&mut self, addr: u64, node: usize, now: Cycles, queue: &mut NodeQueue<Event>) {
         // The remote cache controller invalidates without involving its
         // CPU: 8 cycles plus the shared-replacement charge (Table 2).
         let key = addr / BLOCK_BYTES as u64;
-        self.cpus[node - self.first].cache.invalidate(key);
+        self.cpus[node].cache.invalidate(key);
         let cost = self.cfg.dirnnb.remote_invalidate + self.cfg.dirnnb.replace_shared;
         let home = self.home_of(addr);
         let me = NodeId::new(node as u16);
         let at = self.deliver(now + cost, me, home, false);
-        queue.schedule_for(at, home.index(), Event::HomeAck { addr });
+        queue.schedule(at, Event::HomeAck { addr });
     }
 
     fn recall_at(
@@ -1176,24 +857,22 @@ impl<'m> Shard<'m> {
         node: usize,
         invalidate: bool,
         now: Cycles,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut NodeQueue<Event>,
     ) {
-        let l = node - self.first;
         let key = addr / BLOCK_BYTES as u64;
         let present = if invalidate {
-            self.cpus[l].cache.invalidate(key)
+            self.cpus[node].cache.invalidate(key)
         } else {
-            self.cpus[l].cache.set_owned(key, false)
+            self.cpus[node].cache.set_owned(key, false)
         };
         if !present {
-            if self.cpus[l].pending_block == Some(addr) {
+            if self.cpus[node].pending_block == Some(addr) {
                 // The recall overtook this node's own grant for the same
                 // block (grants and recalls travel on different virtual
                 // networks). Nack-and-retry, as a busy hardware owner
                 // would: try again after the grant has landed.
-                queue.schedule_for(
+                queue.schedule(
                     now + self.cfg.timing.network_latency,
-                    node,
                     Event::Recall {
                         addr,
                         node: node as u16,
@@ -1210,9 +889,8 @@ impl<'m> Shard<'m> {
         let home = self.home_of(addr);
         let me = NodeId::new(node as u16);
         let at = self.deliver(now + cost, me, home, true);
-        queue.schedule_for(
+        queue.schedule(
             at,
-            home.index(),
             Event::HomeData {
                 addr,
                 from: me.raw(),
@@ -1220,7 +898,7 @@ impl<'m> Shard<'m> {
         );
     }
 
-    fn writeback(&mut self, addr: u64, from: NodeId, now: Cycles, queue: &mut ShardQueue<Event>) {
+    fn writeback(&mut self, addr: u64, from: NodeId, now: Cycles, queue: &mut NodeQueue<Event>) {
         self.dir_stats.writebacks.inc();
         match self.dirs.busy(addr) {
             Some(DirBusy::Recalling { owner, .. }) if owner == from => {
@@ -1242,9 +920,8 @@ impl<'m> Shard<'m> {
         node: usize,
         req: DirReq,
         now: Cycles,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut NodeQueue<Event>,
     ) {
-        let l = node - self.first;
         let key = addr / BLOCK_BYTES as u64;
         let me = NodeId::new(node as u16);
         let home = self.home_of(addr);
@@ -1257,7 +934,7 @@ impl<'m> Shard<'m> {
             DirReq::Upgrade => {
                 // The line is still resident unless an intervening
                 // invalidation removed it; then treat as a full fill.
-                if !self.cpus[l].cache.set_owned(key, true) {
+                if !self.cpus[node].cache.set_owned(key, true) {
                     self.fill(node, key, true, &mut cost, queue);
                 }
             }
@@ -1269,12 +946,12 @@ impl<'m> Shard<'m> {
         // racing in behind it can never steal an incomplete access (that
         // would livelock two writers hammering one block).
         {
-            let cpu = &mut self.cpus[l];
+            let cpu = &mut self.cpus[node];
             debug_assert_eq!(cpu.status, CpuStatus::BlockedMiss);
             cpu.status = CpuStatus::Ready;
             cpu.pending_block = None;
         }
-        let op = self.cpus[l].chunk[self.cpus[l].pc];
+        let op = self.cpus[node].chunk[self.cpus[node].pc];
         match op {
             Op::Read { addr, expect } => {
                 self.complete_access(node, addr, AccessKind::Load, 0, expect, false)
@@ -1287,7 +964,7 @@ impl<'m> Shard<'m> {
             }
             other => unreachable!("blocked on a non-memory op {other:?}"),
         }
-        let cpu = &mut self.cpus[l];
+        let cpu = &mut self.cpus[node];
         cpu.pc += 1;
         cpu.clock = now + cost;
         cpu.stats
@@ -1296,19 +973,17 @@ impl<'m> Shard<'m> {
         if !cpu.step_pending {
             cpu.step_pending = true;
             let at = cpu.clock;
-            queue.schedule_for(at, node, Event::CpuStep(node));
+            queue.schedule(at, Event::CpuStep(node));
         }
     }
 
-    /// Releases this shard's own nodes from the barrier at `at` (see the
-    /// Typhoon equivalent for the two-mode story).
-    fn release_local(&mut self, at: Cycles, generation: u64, queue: &mut ShardQueue<Event>) {
+    /// Releases every node from the barrier at `at`; each wakeup is keyed
+    /// under its node's own origin counter.
+    fn release(&mut self, at: Cycles, generation: u64, queue: &mut NodeQueue<Event>) {
         assert_eq!(generation, self.barrier.generation, "stale barrier release");
         self.barrier.generation += 1;
         self.barrier.releases += 1;
-        for l in 0..self.cpus.len() {
-            let n = self.first + l;
-            let cpu = &mut self.cpus[l];
+        for (n, cpu) in self.cpus.iter_mut().enumerate() {
             assert_eq!(cpu.status, CpuStatus::AtBarrier, "node {n} missed the barrier");
             cpu.stats
                 .barrier_wait_cycles
@@ -1317,9 +992,23 @@ impl<'m> Shard<'m> {
             cpu.clock = at;
             if !cpu.step_pending {
                 cpu.step_pending = true;
-                queue.set_origin(n);
-                queue.schedule_for(at, n, Event::CpuStep(n));
+                queue.set_origin(Some(n));
+                queue.schedule(at, Event::CpuStep(n));
             }
         }
     }
+}
+
+fn read_store(store: &mut FxHashMap<Vpn, StorePage>, addr: VAddr) -> u64 {
+    let page = store
+        .entry(addr.page())
+        .or_insert_with(|| Box::new([0u64; PAGE_BYTES / WORD_BYTES]));
+    page[(addr.page_offset() as usize) / WORD_BYTES]
+}
+
+fn write_store(store: &mut FxHashMap<Vpn, StorePage>, addr: VAddr, value: u64) {
+    let page = store
+        .entry(addr.page())
+        .or_insert_with(|| Box::new([0u64; PAGE_BYTES / WORD_BYTES]));
+    page[(addr.page_offset() as usize) / WORD_BYTES] = value;
 }

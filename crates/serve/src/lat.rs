@@ -7,8 +7,7 @@
 //! request. Each node's protocol accumulates into a private
 //! [`KvLatency`] and folds it into the shared collector when the
 //! machine is torn down. Folding is a commutative bucket-wise add, so
-//! the merged histogram is identical no matter how many simulator
-//! threads ran the nodes or in which order they dropped.
+//! the merged histogram is identical in whatever order the nodes drop.
 
 use std::sync::{Arc, Mutex};
 

@@ -17,7 +17,7 @@
 //! - [`lat`] — per-request latency in simulated cycles, recorded by the
 //!   protocol at a stamp user-call and merged across nodes into
 //!   order-independent histograms (p50/p99/p999 come out bit-identical
-//!   however many simulator threads ran).
+//!   across runs and `--jobs` settings).
 //! - [`protocol`] — the baseline server: Stache's transparent
 //!   invalidation coherence plus the stamp call.
 //! - [`run`] — one-call runners that wire workload, machine, protocol,

@@ -1,13 +1,14 @@
 //! A deterministic discrete-event simulation engine.
 //!
 //! The paper evaluated Typhoon on the Wisconsin Wind Tunnel, a parallel
-//! discrete-event simulator. This crate is our deterministic equivalent:
-//! a time-ordered event queue plus a driver loop, and — in [`pdes`] — a
-//! conservative parallel driver in the WWT style that runs one
-//! simulation across OS threads while producing bit-identical results.
+//! discrete-event simulator. This crate is our deterministic, sequential
+//! equivalent: a time-ordered event queue plus a driver loop, and — in
+//! [`NodeQueue`] — the machines' queue, whose `(time, origin, counter)`
+//! keys fix the same-cycle order the cycle tables are defined by.
 //!
 //! Events scheduled for the same cycle are delivered in scheduling order
-//! (FIFO), which makes every simulation bit-reproducible.
+//! (FIFO) or, under caller keys, in key order, which makes every
+//! simulation bit-reproducible.
 //!
 //! # Event storage
 //!
@@ -53,13 +54,13 @@ use std::collections::BinaryHeap;
 
 use tt_base::{mix64, Cycles};
 
-pub mod pdes;
+mod node_queue;
 
-pub use pdes::{run_windows, OutMsg, ShardQueue, Windowing, GLOBAL_ORIGIN};
+pub use node_queue::NodeQueue;
 
 /// Bits of an entry key available to schedulers. Keys are either the
 /// queue's internal monotonic counter or, for the machines, a packed
-/// `(origin, per-origin counter)` pair (see [`pdes::ShardQueue`]); both
+/// `(origin, per-origin counter)` pair (see [`NodeQueue`]); both
 /// fit comfortably in 48 bits. The top 16 bits are reserved for the
 /// tie-shuffle salt so the heap `Entry` never grows (an earlier draft
 /// that widened `Entry` by 16 bytes cost DirNNB ~25% wall time).
@@ -137,10 +138,9 @@ enum KeyMode {
 /// # Keys
 ///
 /// By default the queue assigns each entry a monotonically increasing
-/// key, which makes same-cycle delivery FIFO. Callers that need an
-/// ordering that is independent of *when* an entry was inserted — the
-/// parallel driver in [`pdes`] inserts cross-shard events at window
-/// boundaries, long after their logical scheduling point — supply their
+/// key, which makes same-cycle delivery FIFO. Callers that order
+/// same-cycle events by something other than insertion order — the
+/// machines' [`NodeQueue`] orders them by origin node — supply their
 /// own keys via [`EventQueue::schedule_keyed_at`]. The two schemes must
 /// not be mixed in one queue.
 #[derive(Clone, Debug)]
@@ -199,12 +199,10 @@ impl<E> EventQueue<E> {
     /// same permutation.
     ///
     /// The salt for an entry is a pure hash of `(seed, key)`, not a draw
-    /// from an RNG stream: a stream's draw order would depend on
-    /// insertion order, which under the parallel driver differs from the
-    /// sequential run (cross-shard entries are inserted at window
-    /// boundaries). Hashing the key gives every entry the same salt in
-    /// both modes, so the shuffled schedule is identical at any thread
-    /// count.
+    /// from an RNG stream, so it does not depend on insertion order: the
+    /// same keyed entries come out in the same permutation however they
+    /// were inserted, and eliding one entry (a machine's reserved-key CPU
+    /// wakeup) leaves the others' salts unchanged.
     ///
     /// # Panics
     ///
@@ -251,10 +249,8 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at absolute time `t` under a caller-supplied
     /// key. Same-cycle entries are delivered in key order (after
-    /// tie-shuffle salting, if enabled), regardless of insertion order —
-    /// the property the parallel driver needs to merge cross-shard
-    /// events deterministically. Keys must be unique among pending
-    /// entries and fit in 48 bits.
+    /// tie-shuffle salting, if enabled), regardless of insertion order.
+    /// Keys must be unique among pending entries and fit in 48 bits.
     ///
     /// # Panics
     ///
@@ -705,8 +701,7 @@ mod tests {
     #[test]
     fn tie_shuffle_salt_depends_on_key_not_insertion_order() {
         // The same (time, key) entries inserted in different orders must
-        // come out identically — the property the parallel driver's
-        // cross-shard merge relies on.
+        // come out identically.
         let deliver = |keys: &[u64]| {
             let mut q = EventQueue::new();
             q.enable_tie_shuffle(99);

@@ -16,7 +16,7 @@ use tt_mem::cache::Probe;
 use tt_mem::{NodeMemory, PageMeta, PageTable, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
 use tt_tempest::{BulkRequest, HandlerId, TempestCtx, TempestError, ThreadId};
-use tt_sim::ShardQueue;
+use tt_sim::NodeQueue;
 
 use crate::cpu::{CpuState, CpuStatus};
 use crate::machine::{BulkState, Event};
@@ -36,7 +36,7 @@ pub struct NodeCtx<'a> {
     pub(crate) mem: &'a mut NodeMemory,
     pub(crate) ptable: &'a mut PageTable,
     pub(crate) network: &'a mut Network,
-    pub(crate) queue: &'a mut ShardQueue<Event>,
+    pub(crate) queue: &'a mut NodeQueue<Event>,
     pub(crate) bulk_out: &'a mut Vec<BulkState>,
     pub(crate) bulk_seq: &'a mut u64,
 }
@@ -90,7 +90,7 @@ impl NodeCtx<'_> {
                 self.cpu.status = CpuStatus::BlockedFault;
                 self.cpu.suspended_at = self.cpu.clock;
                 let at = self.cpu.clock;
-                crate::machine::schedule(self.queue, 
+                self.queue.schedule(
                     at,
                     Event::NpWork {
                         node: self.id.index(),
@@ -103,7 +103,7 @@ impl NodeCtx<'_> {
                 self.cpu.status = CpuStatus::BlockedFault;
                 self.cpu.suspended_at = self.cpu.clock;
                 let at = self.cpu.clock;
-                crate::machine::schedule(self.queue, 
+                self.queue.schedule(
                     at,
                     Event::NpWork {
                         node: self.id.index(),
@@ -204,16 +204,16 @@ impl TempestCtx for NodeCtx<'_> {
         // is exactly `Network::send`.
         let deliveries = self.network.transmit(self.now(), &packet);
         for deliver_at in deliveries.iter() {
-            crate::machine::schedule(self.queue, deliver_at, Event::Deliver(packet.clone()));
+            self.queue.schedule(deliver_at, Event::Deliver(packet.clone()));
         }
     }
 
     fn set_timer(&mut self, at: Cycles, token: u64) {
-        // The firing is ordinary NP work on this node: same-shard, so it
-        // needs no lookahead, and it participates in the deterministic
-        // event order like every message delivery.
+        // The firing is ordinary NP work on this node and takes its
+        // place in the deterministic event order like every message
+        // delivery.
         let at = at.max(self.now());
-        crate::machine::schedule(self.queue,
+        self.queue.schedule(
             at,
             Event::NpWork {
                 node: self.id.index(),
@@ -231,7 +231,7 @@ impl TempestCtx for NodeCtx<'_> {
             request,
             offset: 0,
         });
-        crate::machine::schedule(self.queue, 
+        self.queue.schedule(
             self.now(),
             Event::BulkInject {
                 node: self.id.index(),
@@ -393,7 +393,7 @@ impl TempestCtx for NodeCtx<'_> {
         if self.cpu.status == CpuStatus::Ready && !self.cpu.step_pending {
             self.cpu.step_pending = true;
             let at = self.cpu.clock;
-            crate::machine::schedule(self.queue, at, Event::CpuStep(self.id.index()));
+            self.queue.schedule(at, Event::CpuStep(self.id.index()));
         }
     }
 }

@@ -5,29 +5,21 @@
 //! instance of a user-level [`Protocol`]. See the crate docs for the
 //! modeling approach.
 //!
-//! # Parallel simulation
-//!
-//! With `SystemConfig::sim_threads > 1` the machine partitions its nodes
-//! into contiguous shards and runs one shard per OS thread under the
-//! conservative window scheme of [`tt_sim::pdes`]. All mutable per-node
-//! state lives in [`NodeState`] and is handed to a shard as a slice; the
-//! network is cloned per shard (its send-side state is per-source-node),
-//! and the workload sits behind a mutex (chunk refills are the only
-//! shared pulls). Event keys are deterministic `(origin, counter)` pairs,
-//! so reported cycles and statistics are bit-identical at every thread
-//! count — the equivalence tests pin this.
+//! One sequential event loop drives the machine. Events are keyed by
+//! `(time, origin, counter)` in a [`NodeQueue`], where the origin is the
+//! node whose handler scheduled the event; that key order fixes which of
+//! several same-cycle events fires first, and with it the cycle tables.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use tt_base::addr::{VAddr, WORD_BYTES};
 use tt_base::config::SystemConfig;
-use tt_base::stats::{PdesTelemetry, Report};
+use tt_base::stats::Report;
 use tt_base::workload::{Layout, Op, Workload};
 use tt_base::{Cycles, DetRng, NodeId};
 use tt_mem::{AccessKind, NodeMemory, PageTable, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
-use tt_sim::{OutMsg, ShardQueue, Windowing};
+use tt_sim::NodeQueue;
 use tt_tempest::{BlockDirSnapshot, BulkRequest, HandlerId, Message, Protocol, UserCall};
 
 use crate::cpu::{exec_access, AccessOutcome, CpuState, CpuStatus};
@@ -76,8 +68,8 @@ pub enum Event {
 
 impl Event {
     /// The node whose state handling this event touches, or `None` for
-    /// events with machine-global effect. Routes events to their owning
-    /// shard.
+    /// events with machine-global effect: the origin of everything the
+    /// event's handler schedules.
     pub fn target(&self) -> Option<usize> {
         match self {
             Event::CpuStep(n) | Event::NpDispatch(n) => Some(*n),
@@ -85,17 +77,6 @@ impl Event {
             Event::Deliver(p) => Some(p.dst.index()),
             Event::BarrierRelease { .. } => None,
         }
-    }
-}
-
-/// Schedules a machine event with its per-node target declared. Every
-/// schedule in the machine and its contexts funnels through here, so
-/// each event gets a deterministic `(origin, counter)` key and lands on
-/// the shard that owns its target.
-pub(crate) fn schedule(queue: &mut ShardQueue<Event>, at: Cycles, event: Event) {
-    match event.target() {
-        Some(target) => queue.schedule_for(at, target, event),
-        None => queue.schedule_global(at, event),
     }
 }
 
@@ -111,7 +92,6 @@ pub struct BulkState {
 }
 
 /// One node: CPU + NP + memory + page table + active bulk transfers.
-/// Everything a shard thread mutates for this node lives here.
 struct NodeState {
     cpu: CpuState,
     np: NpState,
@@ -123,10 +103,9 @@ struct NodeState {
     bulk_seq: u64,
 }
 
-/// Barrier bookkeeping a shard carries: how many releases it has applied
-/// and the generation it expects next. Every shard observes every
-/// release, so after a run all shards' tallies agree.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Barrier bookkeeping: how many releases the machine has applied and
+/// the generation it expects next (arrivals are counted by the queue).
+#[derive(Debug, Default)]
 struct BarrierTally {
     generation: u64,
     releases: u64,
@@ -139,10 +118,6 @@ pub struct RunResult {
     pub cycles: Cycles,
     /// Aggregated machine, network, and protocol statistics.
     pub report: Report,
-    /// Host-side window-driver telemetry; `None` on the sequential path.
-    /// Kept out of `report` so sequential and parallel reports compare
-    /// equal.
-    pub pdes: Option<PdesTelemetry>,
 }
 
 /// The Typhoon machine (see crate docs).
@@ -153,36 +128,13 @@ pub struct TyphoonMachine {
     protocols: Vec<Option<Box<dyn Protocol>>>,
     network: Network,
     barrier: BarrierTally,
-    workload: Mutex<Box<dyn Workload>>,
+    workload: Box<dyn Workload>,
     layout: Layout,
     done: Vec<Option<Cycles>>,
     tracer: Option<Box<dyn Tracer>>,
     /// Seed for same-cycle tie-shuffling, applied to the event queue at
     /// `run` time (a `tt-check` legal-nondeterminism knob).
     tie_shuffle: Option<u64>,
-}
-
-/// A shard's view of the machine: the contiguous node range it owns plus
-/// the shared pieces. In sequential mode one shard views everything; in
-/// parallel mode each worker thread owns one. All methods take node
-/// indices in *global* terms and translate via `first`.
-struct Shard<'m> {
-    cfg: &'m SystemConfig,
-    quantum: Cycles,
-    /// First global node index this shard owns.
-    first: usize,
-    nodes: &'m mut [NodeState],
-    protocols: &'m mut [Option<Box<dyn Protocol>>],
-    done: &'m mut [Option<Cycles>],
-    /// This shard's network instance. Send-side state (occupancy ports,
-    /// jitter pair counters) is per-source-node and handlers only send
-    /// from their own node, so shards never alias it.
-    network: &'m mut Network,
-    workload: &'m Mutex<Box<dyn Workload>>,
-    /// Present only in sequential mode: tracing needs the single total
-    /// event order.
-    tracer: Option<&'m mut Box<dyn Tracer>>,
-    barrier: &'m mut BarrierTally,
 }
 
 impl TyphoonMachine {
@@ -192,11 +144,16 @@ impl TyphoonMachine {
     /// The factory receives the node id and the workload's layout — the
     /// moral equivalent of the paper's "distributed mapping table" being
     /// known to the run-time library on every node.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.sim_threads` is 1 (the machine is sequential).
     pub fn new(
         cfg: SystemConfig,
         workload: Box<dyn Workload>,
         protocol: &dyn Fn(NodeId, &Layout, &SystemConfig) -> Box<dyn Protocol>,
     ) -> Self {
+        assert_eq!(cfg.sim_threads, 1, "the simulator is sequential: sim_threads must be 1");
         let layout = workload.layout();
         let mut rng = DetRng::new(cfg.seed);
         let nodes = (0..cfg.nodes)
@@ -227,7 +184,7 @@ impl TyphoonMachine {
             protocols,
             network,
             barrier: BarrierTally::default(),
-            workload: Mutex::new(workload),
+            workload,
             layout,
             done,
             tracer: None,
@@ -252,8 +209,7 @@ impl TyphoonMachine {
 
     /// Installs a [`Tracer`] that receives every machine-level event
     /// (faults, handler dispatches, deliveries, barrier releases) with
-    /// its simulated timestamp. See [`crate::trace`]. Requires
-    /// `sim_threads = 1`.
+    /// its simulated timestamp. See [`crate::trace`].
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.tracer = Some(tracer);
     }
@@ -314,8 +270,6 @@ impl TyphoonMachine {
     }
 
     /// Runs the simulation to completion and returns timing + statistics.
-    /// `SystemConfig::sim_threads` selects the sequential event loop or
-    /// the windowed parallel one; results are bit-identical either way.
     ///
     /// # Panics
     ///
@@ -325,12 +279,12 @@ impl TyphoonMachine {
     /// is enabled and a load observes a value that a sequentially
     /// consistent execution could not produce.
     pub fn run(&mut self) -> RunResult {
-        let (shard_count, threads) = self.cfg.pdes_shape();
-        if shard_count == 1 {
-            self.run_sequential()
-        } else {
-            self.run_parallel(shard_count, threads)
+        let mut queue = self.new_queue();
+        self.init_nodes(&mut queue);
+        while let Some((now, event)) = queue.pop() {
+            self.handle(now, event, &mut queue);
         }
+        self.finish()
     }
 
     /// Like [`TyphoonMachine::run`], but invokes `observe` after every
@@ -338,181 +292,26 @@ impl TyphoonMachine {
     /// state — the attachment point for the `tt-check` invariant engine.
     /// Handlers are atomic, so at each callback the machine is in a
     /// consistent state (protocols restored, tags settled).
-    ///
-    /// Always runs on the sequential path regardless of `sim_threads`
-    /// (the observer wants the single total event order); cycle counts
-    /// are identical either way, which the equivalence tests pin.
     pub fn run_observed(
         &mut self,
         observe: &mut dyn FnMut(Cycles, &Event, &TyphoonMachine),
     ) -> RunResult {
-        let mut queue = self.sequential_queue();
-        {
-            let mut shard = self.whole_shard();
-            shard.init_nodes(&mut queue);
-        }
+        let mut queue = self.new_queue();
+        self.init_nodes(&mut queue);
         while let Some((now, event)) = queue.pop() {
             let observed = event.clone();
-            {
-                let mut shard = self.whole_shard();
-                shard.handle(now, event, &mut queue);
-            }
+            self.handle(now, event, &mut queue);
             observe(now, &observed, self);
         }
         self.finish()
     }
 
-    /// The single-shard queue: inline barrier completion, no windows.
-    /// This path *is* the sequential simulator.
-    fn sequential_queue(&self) -> ShardQueue<Event> {
-        let mut queue = ShardQueue::new(0, self.cfg.nodes);
+    fn new_queue(&self) -> NodeQueue<Event> {
+        let mut queue = NodeQueue::new(self.cfg.nodes, self.cfg.timing.barrier_latency);
         if let Some(seed) = self.tie_shuffle {
             queue.enable_tie_shuffle(seed);
         }
-        queue.enable_inline_barrier(self.cfg.nodes, self.cfg.timing.barrier_latency);
         queue
-    }
-
-    /// A shard view spanning every node (sequential and observed runs).
-    fn whole_shard(&mut self) -> Shard<'_> {
-        Shard {
-            cfg: &self.cfg,
-            quantum: self.quantum,
-            first: 0,
-            nodes: &mut self.nodes,
-            protocols: &mut self.protocols,
-            done: &mut self.done,
-            network: &mut self.network,
-            workload: &self.workload,
-            tracer: self.tracer.as_mut(),
-            barrier: &mut self.barrier,
-        }
-    }
-
-    fn run_sequential(&mut self) -> RunResult {
-        let mut queue = self.sequential_queue();
-        {
-            let mut shard = self.whole_shard();
-            shard.init_nodes(&mut queue);
-            while let Some((now, event)) = queue.pop() {
-                shard.handle(now, event, &mut queue);
-            }
-        }
-        self.finish()
-    }
-
-    fn run_parallel(&mut self, shard_count: usize, threads: usize) -> RunResult {
-        assert!(
-            self.tracer.is_none(),
-            "tracing requires sim_threads = 1: a tracer observes one total event order"
-        );
-        let nodes_total = self.cfg.nodes;
-        let lookahead = self.network.lookahead();
-        let release_delay = self.cfg.timing.barrier_latency;
-        let policy = self.cfg.window_policy;
-        let ranges = split_ranges(nodes_total, shard_count);
-        let telemetry;
-
-        let mut queues: Vec<ShardQueue<Event>> = ranges
-            .iter()
-            .map(|&(first, len)| {
-                let mut q = ShardQueue::new(first, len);
-                if let Some(seed) = self.tie_shuffle {
-                    q.enable_tie_shuffle(seed);
-                }
-                q
-            })
-            .collect();
-        // Cloned before any traffic: stats start at zero and are folded
-        // back after the run; jitter/occupancy configuration rides along.
-        let mut nets: Vec<Network> = (0..shard_count).map(|_| self.network.clone()).collect();
-        let mut tallies = vec![BarrierTally::default(); shard_count];
-
-        {
-            let TyphoonMachine {
-                cfg,
-                quantum,
-                nodes,
-                protocols,
-                workload,
-                done,
-                ..
-            } = self;
-            let mut shards: Vec<Shard<'_>> = Vec::with_capacity(shard_count);
-            let mut nodes_rest = &mut nodes[..];
-            let mut protos_rest = &mut protocols[..];
-            let mut done_rest = &mut done[..];
-            let mut nets_iter = nets.iter_mut();
-            let mut tally_iter = tallies.iter_mut();
-            for &(first, len) in &ranges {
-                let (shard_nodes, rest) = nodes_rest.split_at_mut(len);
-                nodes_rest = rest;
-                let (shard_protos, rest) = protos_rest.split_at_mut(len);
-                protos_rest = rest;
-                let (shard_done, rest) = done_rest.split_at_mut(len);
-                done_rest = rest;
-                shards.push(Shard {
-                    cfg,
-                    quantum: *quantum,
-                    first,
-                    nodes: shard_nodes,
-                    protocols: shard_protos,
-                    done: shard_done,
-                    network: nets_iter.next().expect("one net per shard"),
-                    workload,
-                    tracer: None,
-                    barrier: tally_iter.next().expect("one tally per shard"),
-                });
-            }
-
-            for (shard, queue) in shards.iter_mut().zip(queues.iter_mut()) {
-                shard.init_nodes(queue);
-            }
-            // Protocol init may have scheduled cross-shard messages;
-            // route them before the window driver takes over (all are at
-            // ≥ the lookahead, so they cannot land inside the first
-            // window).
-            let pending: Vec<OutMsg<Event>> = queues
-                .iter_mut()
-                .flat_map(|q| q.take_outbox())
-                .collect();
-            for msg in pending {
-                let owner = ranges
-                    .iter()
-                    .position(|&(f, l)| (f..f + l).contains(&msg.target))
-                    .expect("target node within a shard");
-                queues[owner].deliver(msg);
-            }
-
-            telemetry = tt_sim::run_windows(
-                &mut shards,
-                &mut queues,
-                Windowing {
-                    lookahead,
-                    release_delay,
-                    barrier_expected: nodes_total,
-                    policy,
-                    threads,
-                },
-                |shard: &mut Shard<'_>, now, event, queue| shard.handle(now, event, queue),
-                |_shard, queue, at, generation| {
-                    queue.deliver_release(at, generation, Event::BarrierRelease { generation })
-                },
-            )
-            .1;
-        }
-
-        for net in &nets {
-            self.network.absorb_stats(net);
-        }
-        assert!(
-            tallies.windows(2).all(|w| w[0] == w[1]),
-            "shards disagree on barrier history: {tallies:?}"
-        );
-        self.barrier = tallies[0].clone();
-        let mut result = self.finish();
-        result.pdes = Some(telemetry);
-        result
     }
 
     /// Asserts the machine drained cleanly and builds the result.
@@ -542,7 +341,6 @@ impl TyphoonMachine {
         RunResult {
             cycles,
             report: self.build_report(cycles),
-            pdes: None,
         }
     }
 
@@ -650,37 +448,20 @@ impl TyphoonMachine {
         }
         r
     }
-}
 
-/// Contiguous `(first, len)` node ranges splitting `total` nodes into
-/// `parts` shards of near-equal size.
-fn split_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
-    (0..parts)
-        .map(|i| {
-            let first = i * total / parts;
-            let end = (i + 1) * total / parts;
-            (first, end - first)
-        })
-        .collect()
-}
-
-impl<'m> Shard<'m> {
     /// Dispatches one event, declaring the handling node as the origin
     /// of everything the handler schedules (the key scheme's anchor).
-    fn handle(&mut self, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
-        match event.target() {
-            Some(t) => queue.set_origin(t),
-            None => queue.set_origin_global(),
-        }
+    fn handle(&mut self, now: Cycles, event: Event, queue: &mut NodeQueue<Event>) {
+        queue.set_origin(event.target());
         match event {
             Event::CpuStep(n) => self.cpu_step(n, now, queue),
             Event::NpDispatch(n) => {
-                let np = &mut self.nodes[n - self.first].np;
+                let np = &mut self.nodes[n].np;
                 np.dispatch_pending = false;
                 if np.busy_until > now {
                     np.dispatch_pending = true;
                     let at = np.busy_until;
-                    schedule(queue, at, Event::NpDispatch(n));
+                    queue.schedule(at, Event::NpDispatch(n));
                 } else if np.has_work() {
                     self.run_one_handler(n, now, queue);
                 }
@@ -709,33 +490,29 @@ impl<'m> Shard<'m> {
                         _ => {}
                     }
                 }
-                self.nodes[node - self.first].np.enqueue(work);
+                self.nodes[node].np.enqueue(work);
                 self.try_dispatch(node, now, queue);
             }
             Event::Deliver(packet) => self.deliver(packet, now, queue),
-            Event::BarrierRelease { generation } => self.release_local(now, generation, queue),
+            Event::BarrierRelease { generation } => self.release(now, generation, queue),
             Event::BulkInject { node, id } => self.bulk_inject(node, id, now, queue),
         }
     }
 
-    /// Initializes this shard's protocols at time zero and seeds the
-    /// queue with each owned node's first CPU step. Per-origin key
-    /// counters make the result independent of how shards interleave
-    /// their init loops.
-    fn init_nodes(&mut self, queue: &mut ShardQueue<Event>) {
-        for l in 0..self.nodes.len() {
-            let n = self.first + l;
-            queue.set_origin(n);
-            let mut proto = self.protocols[l].take().expect("protocol present");
+    /// Initializes every node's protocol at time zero and seeds the
+    /// queue with each node's first CPU step.
+    fn init_nodes(&mut self, queue: &mut NodeQueue<Event>) {
+        for n in 0..self.nodes.len() {
+            queue.set_origin(Some(n));
+            let mut proto = self.protocols[n].take().expect("protocol present");
             let mut ctx = self.ctx(n, Cycles::ZERO, queue);
             proto.init(&mut ctx);
-            self.protocols[l] = Some(proto);
+            self.protocols[n] = Some(proto);
         }
-        for l in 0..self.nodes.len() {
-            let n = self.first + l;
-            queue.set_origin(n);
-            self.nodes[l].cpu.step_pending = true;
-            schedule(queue, Cycles::ZERO, Event::CpuStep(n));
+        for n in 0..self.nodes.len() {
+            queue.set_origin(Some(n));
+            self.nodes[n].cpu.step_pending = true;
+            queue.schedule(Cycles::ZERO, Event::CpuStep(n));
         }
     }
 
@@ -746,25 +523,25 @@ impl<'m> Shard<'m> {
         }
     }
 
-    /// Builds a per-handler context for (globally indexed) node `n`.
+    /// Builds a per-handler context for node `n`.
     fn ctx<'a>(
         &'a mut self,
         n: usize,
         start: Cycles,
-        queue: &'a mut ShardQueue<Event>,
+        queue: &'a mut NodeQueue<Event>,
     ) -> NodeCtx<'a> {
-        let node = &mut self.nodes[n - self.first];
+        let node = &mut self.nodes[n];
         NodeCtx {
             id: NodeId::new(n as u16),
             nodes: self.cfg.nodes,
-            cfg: self.cfg,
+            cfg: &self.cfg,
             start,
             cost: Cycles::ZERO,
             cpu: &mut node.cpu,
             np: &mut node.np,
             mem: &mut node.mem,
             ptable: &mut node.ptable,
-            network: self.network,
+            network: &mut self.network,
             queue,
             bulk_out: &mut node.bulk,
             bulk_seq: &mut node.bulk_seq,
@@ -776,19 +553,17 @@ impl<'m> Shard<'m> {
     /// The per-op inner loop. `self` is destructured once so the op loop
     /// works on a single `&mut NodeState` instead of re-indexing per op —
     /// this is the simulation's hottest code.
-    fn cpu_step(&mut self, n: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let Shard {
+    fn cpu_step(&mut self, n: usize, now: Cycles, queue: &mut NodeQueue<Event>) {
+        let TyphoonMachine {
             cfg,
             quantum,
-            first,
             nodes,
             workload,
             done,
             barrier,
             ..
         } = self;
-        let l = n - *first;
-        let node = &mut nodes[l];
+        let node = &mut nodes[n];
         node.cpu.step_pending = false;
         if node.cpu.status != CpuStatus::Ready {
             return;
@@ -801,10 +576,7 @@ impl<'m> Shard<'m> {
             // Refill the op chunk if exhausted, reusing its allocation.
             if node.cpu.pc >= node.cpu.chunk.len() {
                 let mut chunk = std::mem::take(&mut node.cpu.chunk);
-                let refilled = workload
-                    .lock()
-                    .expect("workload poisoned")
-                    .next_chunk_into(NodeId::new(n as u16), &mut chunk);
+                let refilled = workload.next_chunk_into(NodeId::new(n as u16), &mut chunk);
                 if refilled {
                     node.cpu.chunk = chunk;
                     node.cpu.pc = 0;
@@ -813,7 +585,7 @@ impl<'m> Shard<'m> {
                     }
                 } else {
                     node.cpu.status = CpuStatus::Done;
-                    done[l] = Some(node.cpu.clock);
+                    done[n] = Some(node.cpu.clock);
                     return;
                 }
             }
@@ -869,13 +641,9 @@ impl<'m> Shard<'m> {
                     cpu.status = CpuStatus::AtBarrier;
                     cpu.suspended_at = cpu.clock;
                     let arrival = cpu.clock;
-                    // Inline (single-shard) mode completes the barrier
-                    // here and schedules its own release; windowed mode
-                    // returns `None` and lets the driver aggregate
-                    // arrivals across shards at window boundaries.
+                    // The last arrival schedules the release.
                     if let Some(release_at) = queue.note_barrier_arrival(arrival) {
-                        schedule(
-                            queue,
+                        queue.schedule_global(
                             release_at,
                             Event::BarrierRelease {
                                 generation: barrier.generation,
@@ -892,8 +660,7 @@ impl<'m> Shard<'m> {
                     cpu.suspended_at = cpu.clock;
                     let at = cpu.clock + Cycles::new(1);
                     let thread = cpu.thread();
-                    schedule(
-                        queue,
+                    queue.schedule(
                         at,
                         Event::NpWork {
                             node: n,
@@ -920,18 +687,13 @@ impl<'m> Shard<'m> {
                 // lies strictly beyond this CPU's clock, the wakeup we
                 // are about to schedule would be the very next event
                 // popped — so skip the queue round trip and keep
-                // executing inline. Under the window scheme the run must
-                // additionally stay below the window end: past it, a
-                // cross-shard delivery not yet merged could be pending.
-                // The machine state and the order of all remaining events
+                // executing inline. The machine state and the order of all
+                // remaining events
                 // are exactly what the scheduled path would produce; only
                 // the self-wakeup is elided (and it carries a reserved
                 // key, so eliding it perturbs no other event's key),
                 // which is why reported cycles are byte-identical.
-                if cfg.direct_execution
-                    && queue.peek_time().is_none_or(|t| t > at)
-                    && queue.window_end().is_none_or(|end| at < end)
-                {
+                if cfg.direct_execution && queue.peek_time().is_none_or(|t| t > at) {
                     deadline = at + *quantum;
                     continue;
                 }
@@ -945,13 +707,14 @@ impl<'m> Shard<'m> {
 
     /// Executes one tag-checked access; returns `false` if the CPU
     /// suspended (fault taken). An associated function over the split
-    /// borrows so [`Shard::cpu_step`] can call it while holding `node`.
+    /// borrows so [`TyphoonMachine::cpu_step`] can call it while holding
+    /// `node`.
     #[allow(clippy::too_many_arguments)]
     fn access(
         cfg: &SystemConfig,
         node: &mut NodeState,
         n: usize,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut NodeQueue<Event>,
         addr: VAddr,
         kind: AccessKind,
         value: u64,
@@ -995,8 +758,7 @@ impl<'m> Shard<'m> {
                 node.cpu.status = CpuStatus::BlockedFault;
                 node.cpu.suspended_at = node.cpu.clock;
                 let at = node.cpu.clock;
-                schedule(
-                    queue,
+                queue.schedule(
                     at,
                     Event::NpWork {
                         node: n,
@@ -1010,8 +772,7 @@ impl<'m> Shard<'m> {
                 node.cpu.status = CpuStatus::BlockedFault;
                 node.cpu.suspended_at = node.cpu.clock;
                 let at = node.cpu.clock;
-                schedule(
-                    queue,
+                queue.schedule(
                     at,
                     Event::NpWork {
                         node: n,
@@ -1025,29 +786,28 @@ impl<'m> Shard<'m> {
 
     // --- NP execution ---------------------------------------------------
 
-    fn try_dispatch(&mut self, n: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let np = &mut self.nodes[n - self.first].np;
+    fn try_dispatch(&mut self, n: usize, now: Cycles, queue: &mut NodeQueue<Event>) {
+        let np = &mut self.nodes[n].np;
         if !np.has_work() {
             return;
         }
         if np.busy_until > now {
             if !np.dispatch_pending {
                 np.dispatch_pending = true;
-                schedule(queue, np.busy_until, Event::NpDispatch(n));
+                queue.schedule(np.busy_until, Event::NpDispatch(n));
             }
             return;
         }
         self.run_one_handler(n, now, queue);
     }
 
-    fn run_one_handler(&mut self, n: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let l = n - self.first;
-        let Some(work) = self.nodes[l].np.next_work() else {
+    fn run_one_handler(&mut self, n: usize, now: Cycles, queue: &mut NodeQueue<Event>) {
+        let Some(work) = self.nodes[n].np.next_work() else {
             return;
         };
         let start = now + self.cfg.typhoon.effective_dispatch();
         {
-            let stats = &mut self.nodes[l].np.stats;
+            let stats = &mut self.nodes[n].np.stats;
             stats.handlers.inc();
             match &work {
                 NpWork::Message(_) | NpWork::Timer(_) => {}
@@ -1070,7 +830,7 @@ impl<'m> Shard<'m> {
                 what: kind,
             },
         );
-        let mut proto = self.protocols[l].take().expect("protocol present");
+        let mut proto = self.protocols[n].take().expect("protocol present");
         let cost = {
             let mut ctx = self.ctx(n, start, queue);
             match work {
@@ -1087,8 +847,8 @@ impl<'m> Shard<'m> {
                 c
             }
         };
-        self.protocols[l] = Some(proto);
-        let node = &mut self.nodes[l];
+        self.protocols[n] = Some(proto);
+        let node = &mut self.nodes[n];
         let np = &mut node.np;
         np.busy_until = start + cost;
         np.stats
@@ -1105,13 +865,13 @@ impl<'m> Shard<'m> {
         if np.has_work() && !np.dispatch_pending {
             np.dispatch_pending = true;
             let at = np.busy_until;
-            schedule(queue, at, Event::NpDispatch(n));
+            queue.schedule(at, Event::NpDispatch(n));
         }
     }
 
     // --- Packets ---------------------------------------------------------
 
-    fn deliver(&mut self, packet: Packet, now: Cycles, queue: &mut ShardQueue<Event>) {
+    fn deliver(&mut self, packet: Packet, now: Cycles, queue: &mut NodeQueue<Event>) {
         let n = packet.dst.index();
         self.trace(
             now,
@@ -1124,7 +884,7 @@ impl<'m> Shard<'m> {
             self.deliver_machine_packet(packet, now, queue);
             return;
         }
-        self.nodes[n - self.first]
+        self.nodes[n]
             .np
             .enqueue(NpWork::Message(Message::from_packet(packet)));
         self.try_dispatch(n, now, queue);
@@ -1134,14 +894,13 @@ impl<'m> Shard<'m> {
         &mut self,
         packet: Packet,
         now: Cycles,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut NodeQueue<Event>,
     ) {
         let n = packet.dst.index();
-        let l = n - self.first;
         match packet.handler {
             BULK_DATA => {
                 let dst_addr = VAddr::new(packet.payload.words()[0]);
-                let node = &mut self.nodes[l];
+                let node = &mut self.nodes[n];
                 write_virtual_bytes(&mut node.mem, &node.ptable, dst_addr, packet.payload.data());
                 let np = &mut node.np;
                 let busy = if np.busy_until > now { np.busy_until } else { now };
@@ -1152,7 +911,7 @@ impl<'m> Shard<'m> {
                 let (src_base, dst_base, bytes) = (words[0], words[1], words[2]);
                 let (notify_src, notify_dst) = (words[3], words[4]);
                 if notify_dst != NO_HANDLER {
-                    self.nodes[l].np.enqueue(NpWork::Message(Message {
+                    self.nodes[n].np.enqueue(NpWork::Message(Message {
                         src: packet.src,
                         vn: VirtualNet::Response,
                         handler: HandlerId(notify_dst as u32),
@@ -1169,12 +928,12 @@ impl<'m> Shard<'m> {
                         payload: Payload::args(&[src_base, dst_base, bytes, notify_src]),
                     };
                     let at = self.network.send(now, &ack);
-                    schedule(queue, at, Event::Deliver(ack));
+                    queue.schedule(at, Event::Deliver(ack));
                 }
             }
             BULK_ACK => {
                 let words = packet.payload.words();
-                self.nodes[l].np.enqueue(NpWork::Message(Message {
+                self.nodes[n].np.enqueue(NpWork::Message(Message {
                     src: packet.src,
                     vn: VirtualNet::Response,
                     handler: HandlerId(words[3] as u32),
@@ -1186,18 +945,17 @@ impl<'m> Shard<'m> {
         }
     }
 
-    fn bulk_inject(&mut self, n: usize, id: u64, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let l = n - self.first;
-        let Some(pos) = self.nodes[l].bulk.iter().position(|b| b.id == id) else {
+    fn bulk_inject(&mut self, n: usize, id: u64, now: Cycles, queue: &mut NodeQueue<Event>) {
+        let Some(pos) = self.nodes[n].bulk.iter().position(|b| b.id == id) else {
             return;
         };
-        let busy_until = self.nodes[l].np.busy_until;
+        let busy_until = self.nodes[n].np.busy_until;
         if busy_until > now {
-            schedule(queue, busy_until, Event::BulkInject { node: n, id });
+            queue.schedule(busy_until, Event::BulkInject { node: n, id });
             return;
         }
         let (packet, done_packet) = {
-            let node = &mut self.nodes[l];
+            let node = &mut self.nodes[n];
             let b = &mut node.bulk[pos];
             let req = b.request;
             let remaining = req.bytes - b.offset;
@@ -1245,33 +1003,28 @@ impl<'m> Shard<'m> {
             (packet, done)
         };
         let at = self.network.send(now, &packet);
-        schedule(queue, at, Event::Deliver(packet));
-        let np = &mut self.nodes[l].np;
+        queue.schedule(at, Event::Deliver(packet));
+        let np = &mut self.nodes[n].np;
         np.busy_until = now + self.cfg.typhoon.bulk_packet_cycles;
         if let Some(done) = done_packet {
             let at = self.network.send(np.busy_until, &done);
-            schedule(queue, at, Event::Deliver(done));
-            self.nodes[l].bulk.remove(pos);
+            queue.schedule(at, Event::Deliver(done));
+            self.nodes[n].bulk.remove(pos);
         } else {
             let at = np.busy_until;
-            schedule(queue, at, Event::BulkInject { node: n, id });
+            queue.schedule(at, Event::BulkInject { node: n, id });
         }
     }
 
-    /// Releases this shard's own nodes from the barrier at `at`. Runs as
-    /// the `BarrierRelease` event handler in sequential mode and as the
-    /// window driver's release hook in parallel mode — each shard wakes
-    /// only the nodes it owns, and the wakeups are keyed under each
-    /// node's *own* origin counter (deterministic in both modes, since a
-    /// blocked node's counter cannot advance concurrently).
-    fn release_local(&mut self, at: Cycles, generation: u64, queue: &mut ShardQueue<Event>) {
+    /// Releases every node from the barrier at `at`. Each wakeup is keyed
+    /// under its node's own origin counter.
+    fn release(&mut self, at: Cycles, generation: u64, queue: &mut NodeQueue<Event>) {
         assert_eq!(generation, self.barrier.generation, "stale barrier release");
         self.barrier.generation += 1;
         self.barrier.releases += 1;
         self.trace(at, TraceEvent::BarrierRelease);
-        for l in 0..self.nodes.len() {
-            let n = self.first + l;
-            let cpu = &mut self.nodes[l].cpu;
+        for (n, node) in self.nodes.iter_mut().enumerate() {
+            let cpu = &mut node.cpu;
             assert_eq!(cpu.status, CpuStatus::AtBarrier, "node {n} missed the barrier");
             cpu.stats
                 .barrier_wait_cycles
@@ -1280,8 +1033,8 @@ impl<'m> Shard<'m> {
             cpu.clock = at;
             if !cpu.step_pending {
                 cpu.step_pending = true;
-                queue.set_origin(n);
-                schedule(queue, at, Event::CpuStep(n));
+                queue.set_origin(Some(n));
+                queue.schedule(at, Event::CpuStep(n));
             }
         }
     }

@@ -89,9 +89,8 @@ pub struct TraceRecord {
 
 /// Receives trace records as the simulation runs.
 ///
-/// `Send` so the machine's shard views (which carry the optional tracer)
-/// can cross threads; tracing itself still requires `sim_threads = 1`,
-/// where a single total event order exists to be observed.
+/// `Send` so a machine that carries a tracer can move to a sweep worker
+/// thread. Records arrive in the machine's single total event order.
 pub trait Tracer: Send {
     /// Called once per machine-level event, in simulated-time order.
     fn record(&mut self, record: TraceRecord);
