@@ -84,6 +84,23 @@ pub enum Op {
     },
 }
 
+/// The kind of a tag-checked memory access.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum AccessKind {
+    /// A processor load (Tempest `read`).
+    Load,
+    /// A processor store (Tempest `write`).
+    Store,
+}
+
+impl AccessKind {
+    /// Whether the access is a store.
+    #[inline]
+    pub fn is_store(self) -> bool {
+        matches!(self, AccessKind::Store)
+    }
+}
+
 /// How pages of a region are assigned home nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Placement {

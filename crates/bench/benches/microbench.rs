@@ -13,22 +13,11 @@ use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SE
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_bench::harness::Runner;
 use tt_mem::{AccessKind, CacheModel, FifoTlb, NodeMemory, PageTable, Tag};
-use tt_sim::{EventHandler, EventQueue, RunLimit};
+use tt_sim::EventQueue;
 use tt_stache::StacheProtocol;
 use tt_typhoon::cpu::{exec_access, AccessOutcome, CpuState};
 use tt_typhoon::np::NpState;
 use tt_typhoon::TyphoonMachine;
-
-struct Sink(u64);
-impl EventHandler for Sink {
-    type Event = u64;
-    fn handle(&mut self, _now: Cycles, ev: u64, q: &mut EventQueue<u64>) {
-        self.0 = self.0.wrapping_add(ev);
-        if ev > 0 {
-            q.schedule_after(Cycles::new(3), ev - 1);
-        }
-    }
-}
 
 /// A single self-rescheduling chain: the EventQueue front-slot fast
 /// path should make this nearly heap-free.
@@ -36,9 +25,14 @@ fn bench_event_queue_chain(r: &Runner) {
     r.bench("sim/event_queue_chain_10k", || {
         let mut q = EventQueue::new();
         q.schedule_at(Cycles::ZERO, 10_000u64);
-        let mut h = Sink(0);
-        tt_sim::run(&mut h, &mut q, RunLimit::none());
-        black_box(h.0)
+        let mut sum = 0u64;
+        while let Some((_, ev)) = q.pop() {
+            sum = sum.wrapping_add(ev);
+            if ev > 0 {
+                q.schedule_after(Cycles::new(3), ev - 1);
+            }
+        }
+        black_box(sum)
     });
 }
 

@@ -23,7 +23,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use tt_base::workload::Layout;
+use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr};
 use tt_dirnnb::DirnnbMachine;
 use tt_mem::Tag;
@@ -125,6 +125,75 @@ impl PerturbConfig {
             fault: None,
             topology: Topology::Ideal,
         }
+    }
+
+    /// The Typhoon legs' configuration on `nodes` nodes: `seed` feeds
+    /// the machines' RNG streams, and the execution mode, fault schedule
+    /// and topology come from this perturbation.
+    pub fn system_config(&self, nodes: usize, seed: u64) -> SystemConfig {
+        let mut cfg = SystemConfig::test_config(nodes);
+        cfg.seed = seed;
+        cfg.direct_execution = self.direct_execution;
+        cfg.fault = self.fault;
+        cfg.topology = self.topology;
+        cfg
+    }
+
+    /// A Typhoon leg under this perturbation: `factory`'s protocol,
+    /// behind the [`Reliable`] transport when a fault schedule is set,
+    /// with the tie-shuffle and network jitter applied.
+    pub fn typhoon(
+        &self,
+        cfg: SystemConfig,
+        workload: Box<dyn Workload>,
+        factory: ProtocolFactory,
+        transport: ReliableConfig,
+    ) -> TyphoonMachine {
+        let mut m = if self.fault.is_some() {
+            let reliable = |id: NodeId, layout: &Layout, cfg: &SystemConfig| -> Box<dyn Protocol> {
+                Box::new(Reliable::with_config(factory(id, layout, cfg), transport))
+            };
+            TyphoonMachine::new(cfg, workload, &reliable)
+        } else {
+            TyphoonMachine::new(cfg, workload, factory)
+        };
+        if let Some(seed) = self.tie_shuffle {
+            m.set_tie_shuffle(seed);
+        }
+        if self.jitter_max > 0 {
+            m.set_net_jitter(self.jitter_seed, Cycles::new(self.jitter_max));
+        }
+        m
+    }
+
+    /// The invariant engine for a Typhoon leg touching `blocks`. Under a
+    /// fault schedule it accepts the transport's ack handler and widens
+    /// its livelock watchdog (every retry and ack is an extra event).
+    pub fn checker(&self, blocks: Vec<VAddr>) -> InvariantChecker {
+        let checker = InvariantChecker::new(blocks);
+        if self.fault.is_some() {
+            checker
+                .with_policy(reliable_vn_policy(tt_stache::vn_policy()))
+                .with_budget(DEFAULT_EVENT_BUDGET * 4)
+        } else {
+            checker
+        }
+    }
+
+    /// The DirNNB reference leg for the Typhoon legs' configuration
+    /// `cfg`: the same tie-shuffle, but never faults or a routed
+    /// topology. It is the pristine ideal-network reference a lossy or
+    /// routed Typhoon leg's final image is held against. Jitter is a
+    /// Typhoon network knob; DirNNB latencies come from its cost tables.
+    pub fn dirnnb(&self, cfg: &SystemConfig, workload: Box<dyn Workload>) -> DirnnbMachine {
+        let mut cfg = cfg.clone();
+        cfg.fault = None;
+        cfg.topology = Topology::Ideal;
+        let mut m = DirnnbMachine::new(cfg, workload);
+        if let Some(seed) = self.tie_shuffle {
+            m.set_tie_shuffle(seed);
+        }
+        m
     }
 }
 
@@ -305,55 +374,16 @@ pub fn run_case_full(
         shrunk_perturb: None,
     });
 
-    let mut syscfg = SystemConfig::test_config(cfg.nodes);
-    syscfg.seed = cfg.seed;
-    syscfg.direct_execution = perturb.direct_execution;
-    syscfg.fault = perturb.fault;
-    syscfg.topology = perturb.topology;
-
-    // Under faults the protocol runs behind the reliable transport,
-    // the invariant engine accepts the transport's ack handler, and the
-    // livelock watchdog widens (every retry/ack is an extra event).
-    type BoxedFactory<'a> = Box<dyn Fn(NodeId, &Layout, &SystemConfig) -> Box<dyn Protocol> + 'a>;
-    let wrapped: Option<BoxedFactory<'_>> = perturb.fault.map(|_| {
-        let rel = *transport;
-        Box::new(move |id: NodeId, layout: &Layout, scfg: &SystemConfig| {
-            Box::new(Reliable::with_config(factory(id, layout, scfg), rel))
-                as Box<dyn Protocol>
-        }) as BoxedFactory<'_>
-    });
-    let tfactory: ProtocolFactory = match &wrapped {
-        Some(w) => &**w,
-        None => factory,
-    };
-    let make_checker = |blocks: Vec<VAddr>| {
-        let checker = InvariantChecker::new(blocks);
-        if perturb.fault.is_some() {
-            checker
-                .with_policy(reliable_vn_policy(tt_stache::vn_policy()))
-                .with_budget(DEFAULT_EVENT_BUDGET * 4)
-        } else {
-            checker
-        }
-    };
+    let syscfg = perturb.system_config(cfg.nodes, cfg.seed);
 
     // Typhoon under the invariant engine and the full perturbation set.
     let (typhoon_cycles, typhoon_image, events) = {
         let syscfg = syscfg.clone();
         let litmus = &litmus;
         catch(move || {
-            let mut m = TyphoonMachine::new(
-                syscfg,
-                Box::new(litmus.workload(perturb.coalesce)),
-                tfactory,
-            );
-            if let Some(seed) = perturb.tie_shuffle {
-                m.set_tie_shuffle(seed);
-            }
-            if perturb.jitter_max > 0 {
-                m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
-            }
-            let mut checker = make_checker(litmus.blocks.clone());
+            let workload = Box::new(litmus.workload(perturb.coalesce));
+            let mut m = perturb.typhoon(syscfg, workload, factory, *transport);
+            let mut checker = perturb.checker(litmus.blocks.clone());
             let r = m.run_observed(&mut |now, ev, mach| checker.check(now, ev, mach));
             let image: Vec<(VAddr, u64)> = litmus
                 .finals
@@ -365,21 +395,11 @@ pub fn run_case_full(
         .map_err(|msg| fail("typhoon", msg))?
     };
 
-    // DirNNB: same workload and tie-break seed; jitter is a Typhoon
-    // network knob (DirNNB latencies come from its cost tables), and
-    // faults and routed topologies never apply — DirNNB is the pristine
-    // ideal-network reference a lossy or mesh-routed Typhoon run's
-    // final image is held against.
+    // DirNNB: same workload and tie-break seed, as the pristine reference.
     let (dirnnb_cycles, dirnnb_image) = {
-        let mut syscfg = syscfg.clone();
-        syscfg.fault = None;
-        syscfg.topology = Topology::Ideal;
         let litmus = &litmus;
-        catch(move || {
-            let mut m = DirnnbMachine::new(syscfg, Box::new(litmus.workload(perturb.coalesce)));
-            if let Some(seed) = perturb.tie_shuffle {
-                m.set_tie_shuffle(seed);
-            }
+        catch(|| {
+            let mut m = perturb.dirnnb(&syscfg, Box::new(litmus.workload(perturb.coalesce)));
             let r = m.run();
             let image: Vec<(VAddr, u64)> = litmus
                 .finals

@@ -39,13 +39,10 @@ use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::workload::{coalesce_computes, Op, ScriptWorkload};
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_apps::kv_update::KvUpdateProtocol;
-use tt_dirnnb::DirnnbMachine;
 use tt_serve::{header_word, value_word, KvLayout, SharedKvLatency, KV_PUT_OP};
-use tt_stache::{reliable_vn_policy, Reliable, ReliableConfig};
-use tt_typhoon::TyphoonMachine;
+use tt_stache::ReliableConfig;
 
 use crate::fuzz::{catch, fault_summary, stache_factory, typhoon_word, FuzzOptions, PerturbConfig};
-use crate::invariants::{InvariantChecker, DEFAULT_EVENT_BUDGET};
 
 /// Words written by one put: `(addr, value)` pairs over the slot.
 type SlotWords = Vec<(VAddr, u64)>;
@@ -326,11 +323,7 @@ pub fn run_kv_case(
         })
     };
 
-    let mut syscfg = SystemConfig::test_config(cfg.nodes);
-    syscfg.seed = cfg.seed;
-    syscfg.direct_execution = perturb.direct_execution;
-    syscfg.fault = perturb.fault;
-    syscfg.topology = perturb.topology;
+    let mut syscfg = perturb.system_config(cfg.nodes, cfg.seed);
     if cfg.tight_stache {
         syscfg.stache_capacity_bytes = 2 * PAGE_BYTES;
     }
@@ -343,7 +336,7 @@ pub fn run_kv_case(
         catch(move || {
             let workload = Box::new(litmus.workload(update_variant, perturb.coalesce));
             let collector = SharedKvLatency::default();
-            let inner: BoxedFactory = if update_variant {
+            let factory: BoxedFactory = if update_variant {
                 let kv = litmus.kv.clone();
                 Box::new(move |id, layout, cfg| {
                     Box::new(KvUpdateProtocol::new(id, layout, cfg, kv.clone(), collector.clone()))
@@ -354,30 +347,9 @@ pub fn run_kv_case(
             // Under a fault schedule both protocols — Stache *and* the
             // custom kv_update protocol — run behind the reliable
             // transport.
-            let factory: BoxedFactory = if perturb.fault.is_some() {
-                Box::new(move |id, layout, cfg| {
-                    Box::new(Reliable::with_config(
-                        inner(id, layout, cfg),
-                        ReliableConfig::default(),
-                    ))
-                })
-            } else {
-                inner
-            };
-            let mut m = TyphoonMachine::new(runcfg, workload, &*factory);
-            if let Some(seed) = perturb.tie_shuffle {
-                m.set_tie_shuffle(seed);
-            }
-            if perturb.jitter_max > 0 {
-                m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
-            }
+            let mut m = perturb.typhoon(runcfg, workload, &*factory, ReliableConfig::default());
             let (cycles, events) = if observe {
-                let mut checker = InvariantChecker::new(litmus.blocks.clone());
-                if perturb.fault.is_some() {
-                    checker = checker
-                        .with_policy(reliable_vn_policy(tt_stache::vn_policy()))
-                        .with_budget(DEFAULT_EVENT_BUDGET * 4);
-                }
+                let mut checker = perturb.checker(litmus.blocks.clone());
                 let r = m.run_observed(&mut |now, ev, mach| checker.check(now, ev, mach));
                 (r.cycles, checker.events())
             } else {
@@ -402,19 +374,13 @@ pub fn run_kv_case(
     let (update_cycles, update_image, _) =
         run_typhoon(true, false).map_err(|m| fail("kv-update", m))?;
 
-    // Leg 3: DirNNB on raw stores — always fault-free and on the ideal
-    // network; it is the pristine reference the lossy or mesh-routed
-    // legs' final images are held against.
+    // Leg 3: DirNNB on raw stores, the pristine reference the lossy or
+    // mesh-routed legs' final images are held against.
     let (dirnnb_cycles, dirnnb_image) = {
-        let mut syscfg = syscfg.clone();
-        syscfg.fault = None;
-        syscfg.topology = tt_base::Topology::Ideal;
         let litmus = &litmus;
-        catch(move || {
-            let mut m = DirnnbMachine::new(syscfg, Box::new(litmus.workload(false, perturb.coalesce)));
-            if let Some(seed) = perturb.tie_shuffle {
-                m.set_tie_shuffle(seed);
-            }
+        catch(|| {
+            let workload = Box::new(litmus.workload(false, perturb.coalesce));
+            let mut m = perturb.dirnnb(&syscfg, workload);
             let r = m.run();
             let image: Vec<(VAddr, u64)> = litmus
                 .finals

@@ -16,11 +16,8 @@ use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::workload::{
     coalesce_computes, Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE,
 };
-use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
-use tt_dirnnb::DirnnbMachine;
-use tt_stache::{Reliable, ReliableConfig};
-use tt_tempest::Protocol;
-use tt_typhoon::TyphoonMachine;
+use tt_base::{Cycles, DetRng, NodeId, VAddr};
+use tt_stache::ReliableConfig;
 
 use crate::fuzz::{stache_factory, PerturbConfig};
 
@@ -305,20 +302,18 @@ pub fn classic_suite() -> Vec<ClassicLitmus> {
 
 /// Runs one classic shape on both machines under `perturb` (`seed`
 /// feeds the machines' internal RNG streams) and checks the forbidden
-/// outcome never appears. A fault schedule applies to the Typhoon leg
-/// only (behind the reliable transport); DirNNB has no lossy mode.
+/// outcome never appears. The Typhoon leg takes the whole perturbation,
+/// fault schedule and topology included; DirNNB is the fault-free,
+/// ideal-network reference.
 ///
-/// Returns the observed per-node recorded reads of the Typhoon leg, or
-/// an error naming the machine and outcome.
+/// Returns the Typhoon leg's cycles and per-node recorded reads, or an
+/// error naming the machine and outcome.
 pub fn run_classic(
     case: &ClassicLitmus,
     seed: u64,
     perturb: &PerturbConfig,
-) -> Result<Vec<Vec<u64>>, String> {
-    let mut syscfg = SystemConfig::test_config(case.nodes);
-    syscfg.seed = seed;
-    syscfg.direct_execution = perturb.direct_execution;
-    syscfg.fault = perturb.fault;
+) -> Result<(Cycles, Vec<Vec<u64>>), String> {
+    let syscfg = perturb.system_config(case.nodes, seed);
 
     let check = |machine: &str, recs: &[Vec<u64>]| -> Result<(), String> {
         for (n, (got, want)) in recs.iter().zip(case.reads_per_node()).enumerate() {
@@ -345,51 +340,25 @@ pub fn run_classic(
         Ok(())
     };
 
-    let wrapped = |id: NodeId, layout: &Layout, cfg: &SystemConfig| -> Box<dyn Protocol> {
-        Box::new(Reliable::with_config(
-            stache_factory(id, layout, cfg),
-            ReliableConfig::default(),
-        ))
-    };
-    let typhoon_recs = {
-        let mut m = if perturb.fault.is_some() {
-            TyphoonMachine::new(syscfg.clone(), Box::new(case.workload()), &wrapped)
-        } else {
-            TyphoonMachine::new(syscfg.clone(), Box::new(case.workload()), &stache_factory)
-        };
-        if let Some(s) = perturb.tie_shuffle {
-            m.set_tie_shuffle(s);
-        }
-        if perturb.jitter_max > 0 {
-            m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
-        }
-        m.run();
-        let recs: Vec<Vec<u64>> =
-            (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect();
-        check("typhoon+stache", &recs)?;
-        recs
-    };
+    let workload = Box::new(case.workload());
+    let mut m = perturb.typhoon(syscfg.clone(), workload, &stache_factory, ReliableConfig::default());
+    let cycles = m.run().cycles;
+    let typhoon_recs: Vec<Vec<u64>> =
+        (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect();
+    check("typhoon+stache", &typhoon_recs)?;
 
-    {
-        let mut dircfg = syscfg;
-        dircfg.fault = None;
-        let mut m = DirnnbMachine::new(dircfg, Box::new(case.workload()));
-        if let Some(s) = perturb.tie_shuffle {
-            m.set_tie_shuffle(s);
-        }
-        m.run();
-        let recs: Vec<Vec<u64>> =
-            (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect();
-        check("dirnnb", &recs)?;
-    }
+    let mut m = perturb.dirnnb(&syscfg, Box::new(case.workload()));
+    m.run();
+    let recs: Vec<Vec<u64>> = (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect();
+    check("dirnnb", &recs)?;
 
-    Ok(typhoon_recs)
+    Ok((cycles, typhoon_recs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tt_base::FaultSpec;
+    use tt_base::{FaultSpec, Topology};
 
     #[test]
     fn config_derivation_is_deterministic_and_in_range() {
@@ -478,6 +447,19 @@ mod tests {
                     .unwrap_or_else(|e| panic!("faulty seed {seed}: {e}"));
             }
         }
+    }
+
+    /// The Typhoon leg runs on the topology the perturbation draws: a
+    /// forced 2-D mesh moves its cycles off the ideal network's.
+    #[test]
+    fn classic_typhoon_leg_follows_the_drawn_topology() {
+        let suite = classic_suite();
+        let case = &suite[3];
+        let mut perturb = PerturbConfig::none();
+        let (ideal, _) = run_classic(case, 1, &perturb).expect("clean on the ideal network");
+        perturb.topology = Topology::Mesh2D { width: 0 };
+        let (mesh, _) = run_classic(case, 1, &perturb).expect("clean on a mesh");
+        assert_ne!(ideal, mesh, "the mesh perturbation reached the Typhoon leg");
     }
 
     #[test]

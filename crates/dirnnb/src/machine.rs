@@ -1,61 +1,42 @@
 //! The DirNNB machine: CPUs + hardware directory, driven by the same
-//! event engine and workload op streams as Typhoon: one sequential
-//! event loop over a [`NodeQueue`], whose `(time, origin, counter)` keys
-//! take the handling node as the origin. Home-directed events (requests,
-//! acks, data, writebacks) are handled at the block's home node.
+//! event engine, workload op streams and CPU front end ([`tt_sim::cpu`])
+//! as Typhoon: one sequential event loop over a [`NodeQueue`], whose
+//! `(time, origin, counter)` keys take the handling node as the origin.
+//! Home-directed events (requests, acks, data, writebacks) are handled
+//! at the block's home node.
 
 use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::config::SystemConfig;
 use tt_base::stats::{Counter, Report};
-use tt_base::workload::{Op, Workload};
+use tt_base::workload::Workload;
 use tt_base::{Cycles, DetRng, FxHashMap, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{AccessKind, CacheModel, FifoTlb};
 use tt_net::{Network, VirtualNet, ARG_WORD_BYTES, HANDLER_WORD_BYTES};
+use tt_sim::cpu::{self, CpuHost, CpuStatus, Frontend, MemOp};
 use tt_sim::NodeQueue;
 
 use crate::dir::{DirBusy, DirReq, DirView, Directory};
 
-/// Execution status of a CPU.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CpuStatus {
-    Ready,
-    BlockedMiss,
-    AtBarrier,
-    Done,
-}
-
-/// Per-CPU statistics.
+/// Per-CPU statistics beyond the front end's.
 #[derive(Clone, Debug, Default)]
 struct CpuStats {
-    ops: Counter,
     reads: Counter,
     writes: Counter,
-    compute_cycles: Counter,
     local_misses: Counter,
     remote_misses: Counter,
     upgrades: Counter,
     miss_stall_cycles: Counter,
-    barrier_wait_cycles: Counter,
-    /// Cycles skipped by `Op::WaitUntil` (open-loop arrival idling).
-    idle_cycles: Counter,
 }
 
 struct Cpu {
     cache: CacheModel,
     tlb: FifoTlb<Vpn>,
-    chunk: Vec<Op>,
-    pc: usize,
-    clock: Cycles,
-    status: CpuStatus,
-    step_pending: bool,
-    suspended_at: Cycles,
+    front: Frontend,
     /// Block address of the outstanding miss, if any. Used to defer a
     /// recall that overtakes this CPU's grant (the protocol's
     /// "relinquish and retry" for a busy owner).
     pending_block: Option<u64>,
-    /// Values observed by `Op::ReadRecord` loads, in program order.
-    recorded: Vec<u64>,
     stats: CpuStats,
 }
 
@@ -84,14 +65,6 @@ pub enum Event {
     BarrierRelease { generation: u64 },
 }
 
-/// Barrier bookkeeping: the generation expected next and the release
-/// count (arrivals are counted by the queue).
-#[derive(Debug, Default)]
-struct BarrierTally {
-    generation: u64,
-    releases: u64,
-}
-
 /// One coherent page of the machine's single value image.
 type StorePage = Box<[u64; PAGE_BYTES / WORD_BYTES]>;
 
@@ -107,18 +80,14 @@ pub struct RunResult {
 /// The all-hardware DirNNB machine (see crate docs).
 pub struct DirnnbMachine {
     cfg: SystemConfig,
-    quantum: Cycles,
     cpus: Vec<Cpu>,
     dirs: Directory,
     home_map: FxHashMap<Vpn, NodeId>,
     /// The single coherent value image.
     store: FxHashMap<Vpn, StorePage>,
     network: Network,
-    barrier: BarrierTally,
     workload: Box<dyn Workload>,
-    done: Vec<Option<Cycles>>,
     dir_stats: DirStats,
-    verify_values: bool,
     /// Seed for same-cycle tie-shuffling, applied to the event queue at
     /// `run` time (a `tt-check` legal-nondeterminism knob).
     tie_shuffle: Option<u64>,
@@ -178,36 +147,23 @@ impl DirnnbMachine {
                     rng.fork(i as u64),
                 ),
                 tlb: FifoTlb::new(cfg.cpu.tlb_entries),
-                chunk: Vec::new(),
-                pc: 0,
-                clock: Cycles::ZERO,
-                status: CpuStatus::Ready,
-                step_pending: false,
-                suspended_at: Cycles::ZERO,
+                front: Frontend::default(),
                 pending_block: None,
-                recorded: Vec::new(),
                 stats: CpuStats::default(),
             })
             .collect();
         let mut network = Network::new(cfg.nodes, cfg.timing.network_latency);
         network.set_occupancy(cfg.timing.network_occupancy);
         network.set_topology(cfg.topology);
-        let quantum = cfg.timing.network_latency;
-        let done = vec![None; cfg.nodes];
-        let verify_values = cfg.verify_values;
         DirnnbMachine {
             dirs: Directory::new(cfg.nodes),
             cfg,
-            quantum,
             cpus,
             home_map,
             store: FxHashMap::default(),
             network,
-            barrier: BarrierTally::default(),
             workload,
-            done,
             dir_stats: DirStats::default(),
-            verify_values,
             tie_shuffle: None,
         }
     }
@@ -230,7 +186,7 @@ impl DirnnbMachine {
     /// Values `node`'s CPU observed via `Op::ReadRecord` loads, in
     /// program order (litmus harnesses read these back after a run).
     pub fn recorded_reads(&self, node: usize) -> &[u64] {
-        &self.cpus[node].recorded
+        &self.cpus[node].front.recorded
     }
 
     /// Runs the simulation to completion.
@@ -244,43 +200,26 @@ impl DirnnbMachine {
         if let Some(seed) = self.tie_shuffle {
             queue.enable_tie_shuffle(seed);
         }
-        self.init_nodes(&mut queue);
+        cpu::start(self, &mut queue);
         while let Some((now, event)) = queue.pop() {
             self.handle(now, event, &mut queue);
         }
-        self.finish()
-    }
-
-    /// Asserts the machine drained cleanly and builds the result.
-    fn finish(&mut self) -> RunResult {
-        let stuck: Vec<_> = self
-            .cpus
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.status != CpuStatus::Done)
-            .map(|(i, c)| (i, c.status))
-            .collect();
-        if !stuck.is_empty() {
-            let busy = self.dirs.stuck();
-            panic!("DirNNB machine deadlocked: {stuck:?}; stuck directory entries: {busy:?}");
-        }
-        let cycles = self
-            .done
-            .iter()
-            .map(|d| d.expect("all done"))
-            .max()
-            .unwrap_or(Cycles::ZERO);
+        let cycles =
+            cpu::finish_time(self.cpus.iter().map(|c| &c.front)).unwrap_or_else(|stuck| {
+                let busy = self.dirs.stuck();
+                panic!("DirNNB machine deadlocked: {stuck:?}; stuck directory entries: {busy:?}")
+            });
         RunResult {
             cycles,
-            report: self.build_report(cycles),
+            report: self.build_report(cycles, queue.barriers_released()),
         }
     }
 
-    fn build_report(&self, cycles: Cycles) -> Report {
+    fn build_report(&self, cycles: Cycles, barriers: u64) -> Report {
         let mut r = Report::new();
         r.push_count("machine.cycles", cycles.raw());
         r.push_count("machine.nodes", self.cfg.nodes as u64);
-        r.push_count("machine.barriers", self.barrier.releases);
+        r.push_count("machine.barriers", barriers);
         let mut ops = 0u64;
         let mut reads = 0u64;
         let mut writes = 0u64;
@@ -295,16 +234,16 @@ impl DirnnbMachine {
         let mut tlb_misses = 0u64;
         let mut idle = 0u64;
         for cpu in &self.cpus {
-            ops += cpu.stats.ops.get();
-            idle += cpu.stats.idle_cycles.get();
+            ops += cpu.front.stats.ops.get();
+            idle += cpu.front.stats.idle_cycles.get();
             reads += cpu.stats.reads.get();
             writes += cpu.stats.writes.get();
-            compute += cpu.stats.compute_cycles.get();
+            compute += cpu.front.stats.compute_cycles.get();
             local += cpu.stats.local_misses.get();
             remote += cpu.stats.remote_misses.get();
             upgrades += cpu.stats.upgrades.get();
             stall += cpu.stats.miss_stall_cycles.get();
-            barrier_wait += cpu.stats.barrier_wait_cycles.get();
+            barrier_wait += cpu.front.stats.barrier_wait_cycles.get();
             cache_hits += cpu.cache.stats().hits.get();
             cache_misses += cpu.cache.stats().misses.get();
             tlb_misses += cpu.tlb.stats().misses.get();
@@ -338,7 +277,7 @@ impl DirnnbMachine {
     fn handle(&mut self, now: Cycles, event: Event, queue: &mut NodeQueue<Event>) {
         queue.set_origin(target_in(&self.home_map, &event));
         match event {
-            Event::CpuStep(n) => self.cpu_step(n, now, queue),
+            Event::CpuStep(n) => cpu::step(self, n, now, queue),
             Event::HomeRequest { addr, from, req } => {
                 self.home_request(addr, NodeId::new(from), req, now, queue)
             }
@@ -354,16 +293,7 @@ impl DirnnbMachine {
                 self.grant_arrived(addr, node as usize, req, now, queue)
             }
             Event::Writeback { addr, from } => self.writeback(addr, NodeId::new(from), now, queue),
-            Event::BarrierRelease { generation } => self.release(now, generation, queue),
-        }
-    }
-
-    /// Seeds the queue with each node's first CPU step.
-    fn init_nodes(&mut self, queue: &mut NodeQueue<Event>) {
-        for (n, cpu) in self.cpus.iter_mut().enumerate() {
-            queue.set_origin(Some(n));
-            cpu.step_pending = true;
-            queue.schedule(Cycles::ZERO, Event::CpuStep(n));
+            Event::BarrierRelease { generation } => cpu::release(self, now, generation, queue),
         }
     }
 
@@ -384,159 +314,15 @@ impl DirnnbMachine {
         self.network.deliver_at(inject, src, dst, VirtualNet::Request, wire)
     }
 
-    // --- CPU execution ----------------------------------------------------
-
-    /// The per-op inner loop. Ops that touch only this CPU (compute,
-    /// calls, barriers, chunk refills) run under one split borrow of
-    /// `self` — no re-indexing per op, mirroring `TyphoonMachine`.
-    /// Memory ops break out to [`Self::access`], which needs the
-    /// directory and network.
-    fn cpu_step(&mut self, n: usize, now: Cycles, queue: &mut NodeQueue<Event>) {
-        {
-            let cpu = &mut self.cpus[n];
-            cpu.step_pending = false;
-            if cpu.status != CpuStatus::Ready {
-                return;
-            }
-            if cpu.clock < now {
-                cpu.clock = now;
-            }
-        }
-        let mut deadline = now + self.quantum;
-        loop {
-            let (addr, kind, value, expect, record) = {
-                let DirnnbMachine {
-                    cfg,
-                    quantum,
-                    cpus,
-                    barrier,
-                    workload,
-                    done,
-                    ..
-                } = self;
-                let cpu = &mut cpus[n];
-                loop {
-                    // Refill the op chunk if exhausted, reusing its allocation.
-                    if cpu.pc >= cpu.chunk.len() {
-                        let mut chunk = std::mem::take(&mut cpu.chunk);
-                        let refilled = workload.next_chunk_into(NodeId::new(n as u16), &mut chunk);
-                        if refilled {
-                            cpu.chunk = chunk;
-                            cpu.pc = 0;
-                            if cpu.chunk.is_empty() {
-                                continue;
-                            }
-                        } else {
-                            cpu.status = CpuStatus::Done;
-                            done[n] = Some(cpu.clock);
-                            return;
-                        }
-                    }
-                    let op = cpu.chunk[cpu.pc];
-                    match op {
-                        Op::Compute(k) => {
-                            cpu.clock += Cycles::new(k as u64);
-                            cpu.stats.compute_cycles.add(k as u64);
-                            cpu.stats.ops.inc();
-                            cpu.pc += 1;
-                        }
-                        Op::UserCall { .. } => {
-                            // A hardware shared-memory machine has no user-level
-                            // protocol; calls complete immediately.
-                            cpu.clock += Cycles::new(1);
-                            cpu.stats.ops.inc();
-                            cpu.pc += 1;
-                        }
-                        Op::Barrier => {
-                            cpu.pc += 1;
-                            cpu.stats.ops.inc();
-                            cpu.status = CpuStatus::AtBarrier;
-                            cpu.suspended_at = cpu.clock;
-                            let arrival = cpu.clock;
-                            // The last arrival schedules the release.
-                            if let Some(release_at) = queue.note_barrier_arrival(arrival) {
-                                queue.schedule_global(
-                                    release_at,
-                                    Event::BarrierRelease {
-                                        generation: barrier.generation,
-                                    },
-                                );
-                            }
-                            return;
-                        }
-                        Op::Read { addr, expect } => {
-                            break (addr, AccessKind::Load, 0, expect, false)
-                        }
-                        Op::ReadRecord { addr } => {
-                            break (addr, AccessKind::Load, 0, None, true)
-                        }
-                        Op::Write { addr, value } => {
-                            break (addr, AccessKind::Store, value, None, false)
-                        }
-                        Op::WaitUntil { until } => {
-                            cpu.stats.ops.inc();
-                            cpu.pc += 1;
-                            let target = Cycles::new(until);
-                            if target > cpu.clock {
-                                cpu.stats.idle_cycles.add((target - cpu.clock).raw());
-                                cpu.clock = target;
-                            }
-                        }
-                    }
-                    if cpu.clock >= deadline {
-                        let at = cpu.clock;
-                        // Direct execution (WWT-style): if every pending
-                        // event lies strictly beyond this CPU's clock, the
-                        // wakeup we are about to schedule would be the very
-                        // next event popped — skip the queue round trip and
-                        // keep executing inline. Only the self-wakeup (a
-                        // reserved key) is elided, so reported cycles stay
-                        // byte-identical.
-                        if cfg.direct_execution && queue.peek_time().is_none_or(|t| t > at) {
-                            deadline = at + *quantum;
-                            continue;
-                        }
-                        cpu.step_pending = true;
-                        queue.schedule_wakeup(at, n, Event::CpuStep(n));
-                        return;
-                    }
-                }
-            };
-            if !self.access(n, queue, addr, kind, value, expect, record) {
-                return;
-            }
-            if self.cpus[n].clock >= deadline {
-                let at = self.cpus[n].clock;
-                // Same direct-execution bypass as the inner loop; see there.
-                if self.cfg.direct_execution && queue.peek_time().is_none_or(|t| t > at) {
-                    deadline = at + self.quantum;
-                    continue;
-                }
-                let cpu = &mut self.cpus[n];
-                cpu.step_pending = true;
-                queue.schedule_wakeup(at, n, Event::CpuStep(n));
-                return;
-            }
-        }
-    }
+    // --- Memory access ----------------------------------------------------
 
     /// Executes one access; returns `false` if the CPU blocked on a miss.
-    #[allow(clippy::too_many_arguments)]
-    fn access(
-        &mut self,
-        n: usize,
-        queue: &mut NodeQueue<Event>,
-        addr: VAddr,
-        kind: AccessKind,
-        value: u64,
-        expect: Option<u64>,
-        record: bool,
-    ) -> bool {
+    fn access(&mut self, n: usize, op: MemOp, queue: &mut NodeQueue<Event>) -> bool {
+        let (addr, kind) = (op.addr, op.kind);
         let me = NodeId::new(n as u16);
         let block = addr.block_base().raw();
         let key = block / BLOCK_BYTES as u64;
         let mut cost = Cycles::new(1);
-        self.cpus[n].stats.ops.inc();
         if !self.cpus[n].tlb.access(addr.page()) {
             cost += self.cfg.timing.tlb_miss;
         }
@@ -550,9 +336,8 @@ impl DirnnbMachine {
         let Some(req) = req else {
             // Cache hit: no directory involvement, so the home lookup is
             // not needed — this is the per-op fast path.
-            self.complete_access(n, addr, kind, value, expect, record);
-            self.cpus[n].clock += cost;
-            self.cpus[n].pc += 1;
+            self.complete_access(n, &op);
+            self.cpus[n].front.clock += cost;
             return true;
         };
         let home = self.home_of(addr.raw());
@@ -586,9 +371,8 @@ impl DirnnbMachine {
                 } else {
                     self.fill(n, key, owned, &mut cost, queue);
                 }
-                self.complete_access(n, addr, kind, value, expect, record);
-                self.cpus[n].clock += cost;
-                self.cpus[n].pc += 1;
+                self.complete_access(n, &op);
+                self.cpus[n].front.clock += cost;
                 return true;
             }
         }
@@ -605,11 +389,10 @@ impl DirnnbMachine {
         }
         let inject = {
             let cpu = &mut self.cpus[n];
-            cpu.clock += cost;
-            cpu.status = CpuStatus::BlockedMiss;
-            cpu.suspended_at = cpu.clock;
+            cpu.front.clock += cost;
+            cpu.front.suspend(CpuStatus::BlockedAccess);
             cpu.pending_block = Some(block);
-            cpu.clock
+            cpu.front.clock
         };
         let at = self.deliver(inject, me, home, false);
         queue.schedule(
@@ -625,36 +408,20 @@ impl DirnnbMachine {
 
     /// Functional completion: reads check the global store, writes update
     /// it (hardware-coherent shared memory has a single value image).
-    fn complete_access(
-        &mut self,
-        n: usize,
-        addr: VAddr,
-        kind: AccessKind,
-        value: u64,
-        expect: Option<u64>,
-        record: bool,
-    ) {
-        match kind {
+    fn complete_access(&mut self, n: usize, op: &MemOp) {
+        let cpu = &mut self.cpus[n];
+        let loaded = match op.kind {
             AccessKind::Load => {
-                self.cpus[n].stats.reads.inc();
-                let got = read_store(&mut self.store, addr);
-                if record {
-                    self.cpus[n].recorded.push(got);
-                }
-                if self.verify_values {
-                    if let Some(expect) = expect {
-                        assert_eq!(
-                            got, expect,
-                            "DirNNB coherence image mismatch: node {n} read {addr}"
-                        );
-                    }
-                }
+                cpu.stats.reads.inc();
+                Some(read_store(&mut self.store, op.addr))
             }
             AccessKind::Store => {
-                self.cpus[n].stats.writes.inc();
-                write_store(&mut self.store, addr, value);
+                cpu.stats.writes.inc();
+                write_store(&mut self.store, op.addr, op.value);
+                None
             }
-        }
+        };
+        cpu.front.retire(n, op, loaded, self.cfg.verify_values);
     }
 
     /// Installs a block in a CPU cache; a displaced dirty victim notifies
@@ -677,7 +444,7 @@ impl DirnnbMachine {
                 let victim_addr = victim.block * BLOCK_BYTES as u64;
                 let home = self.home_of(victim_addr);
                 let me = NodeId::new(n as u16);
-                let clock = self.cpus[n].clock;
+                let clock = self.cpus[n].front.clock;
                 let at = self.deliver(clock.max(queue.now()), me, home, true);
                 queue.schedule(
                     at,
@@ -945,57 +712,53 @@ impl DirnnbMachine {
         // grant delivers the data to the stalled load/store, so a recall
         // racing in behind it can never steal an incomplete access (that
         // would livelock two writers hammering one block).
-        {
-            let cpu = &mut self.cpus[node];
-            debug_assert_eq!(cpu.status, CpuStatus::BlockedMiss);
-            cpu.status = CpuStatus::Ready;
-            cpu.pending_block = None;
-        }
-        let op = self.cpus[node].chunk[self.cpus[node].pc];
-        match op {
-            Op::Read { addr, expect } => {
-                self.complete_access(node, addr, AccessKind::Load, 0, expect, false)
-            }
-            Op::ReadRecord { addr } => {
-                self.complete_access(node, addr, AccessKind::Load, 0, None, true)
-            }
-            Op::Write { addr, value } => {
-                self.complete_access(node, addr, AccessKind::Store, value, None, false)
-            }
-            other => unreachable!("blocked on a non-memory op {other:?}"),
-        }
         let cpu = &mut self.cpus[node];
-        cpu.pc += 1;
-        cpu.clock = now + cost;
+        debug_assert_eq!(cpu.front.status, CpuStatus::BlockedAccess);
+        cpu.front.status = CpuStatus::Ready;
+        cpu.pending_block = None;
+        let op = cpu.front.pending_access().expect("blocked on a memory op");
+        self.complete_access(node, &op);
+        let cpu = &mut self.cpus[node];
+        cpu.front.clock = now + cost;
         cpu.stats
             .miss_stall_cycles
-            .add((cpu.clock - cpu.suspended_at).raw());
-        if !cpu.step_pending {
-            cpu.step_pending = true;
-            let at = cpu.clock;
-            queue.schedule(at, Event::CpuStep(node));
-        }
+            .add((cpu.front.clock - cpu.front.suspended_at).raw());
+        cpu.front.wake(queue, Event::CpuStep(node));
+    }
+}
+
+/// DirNNB's side of the shared front end: the cache/directory access,
+/// and protocol calls that complete at once.
+impl CpuHost for DirnnbMachine {
+    type Event = Event;
+
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
     }
 
-    /// Releases every node from the barrier at `at`; each wakeup is keyed
-    /// under its node's own origin counter.
-    fn release(&mut self, at: Cycles, generation: u64, queue: &mut NodeQueue<Event>) {
-        assert_eq!(generation, self.barrier.generation, "stale barrier release");
-        self.barrier.generation += 1;
-        self.barrier.releases += 1;
-        for (n, cpu) in self.cpus.iter_mut().enumerate() {
-            assert_eq!(cpu.status, CpuStatus::AtBarrier, "node {n} missed the barrier");
-            cpu.stats
-                .barrier_wait_cycles
-                .add((at - cpu.suspended_at).raw());
-            cpu.status = CpuStatus::Ready;
-            cpu.clock = at;
-            if !cpu.step_pending {
-                cpu.step_pending = true;
-                queue.set_origin(Some(n));
-                queue.schedule(at, Event::CpuStep(n));
-            }
-        }
+    #[inline]
+    fn cpu_and_workload(&mut self, n: usize) -> (&mut Frontend, &mut dyn Workload) {
+        (&mut self.cpus[n].front, &mut *self.workload)
+    }
+
+    #[inline]
+    fn access(&mut self, n: usize, op: MemOp, queue: &mut NodeQueue<Event>) -> bool {
+        DirnnbMachine::access(self, n, op, queue)
+    }
+
+    /// A hardware shared-memory machine has no user-level protocol;
+    /// calls complete immediately.
+    fn user_call(&mut self, n: usize, _op: u32, _arg: u64, _queue: &mut NodeQueue<Event>) -> bool {
+        self.cpus[n].front.clock += Cycles::new(1);
+        true
+    }
+
+    fn step_event(n: usize) -> Event {
+        Event::CpuStep(n)
+    }
+
+    fn barrier_event(generation: u64) -> Event {
+        Event::BarrierRelease { generation }
     }
 }
 

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+pub use tt_base::workload::AccessKind;
+
 /// The access tag of one memory block.
 ///
 /// `ReadWrite`, `ReadOnly` and `Invalid` are the Tempest-visible values
@@ -181,23 +183,6 @@ impl PackedTags {
     /// Iterates over `(block_index, tag)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Tag)> + '_ {
         (0..TAG_WORDS * BLOCKS_PER_WORD).map(|i| (i, self.get(i)))
-    }
-}
-
-/// The kind of a tag-checked memory access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AccessKind {
-    /// A processor load (Tempest `read`).
-    Load,
-    /// A processor store (Tempest `write`).
-    Store,
-}
-
-impl AccessKind {
-    /// Whether the access is a store.
-    #[inline]
-    pub fn is_store(self) -> bool {
-        matches!(self, AccessKind::Store)
     }
 }
 

@@ -2,9 +2,17 @@
 //!
 //! The paper evaluated Typhoon on the Wisconsin Wind Tunnel, a parallel
 //! discrete-event simulator. This crate is our deterministic, sequential
-//! equivalent: a time-ordered event queue plus a driver loop, and — in
-//! [`NodeQueue`] — the machines' queue, whose `(time, origin, counter)`
-//! keys fix the same-cycle order the cycle tables are defined by.
+//! equivalent. It holds three things the machines build on:
+//!
+//! - [`EventQueue`], a time-ordered event queue;
+//! - [`NodeQueue`], the machines' queue, whose `(time, origin, counter)`
+//!   keys fix the same-cycle order the cycle tables are defined by, and
+//!   which counts barrier arrivals;
+//! - [`cpu`], the CPU front end both machines share: per-CPU op-stream
+//!   state, the interpreter for `Compute`, `WaitUntil` and `Barrier`,
+//!   the quantum yield and the barrier release. Each machine's event
+//!   loop calls it; a machine adds only how it performs memory ops and
+//!   protocol calls.
 //!
 //! Events scheduled for the same cycle are delivered in scheduling order
 //! (FIFO) or, under caller keys, in key order, which makes every
@@ -20,40 +28,13 @@
 //! moves only a 24-byte `(time, key, slot)` triple. The choice follows
 //! from `size_of::<E>()`: it is a property of the event type, not a
 //! setting, and both layouts deliver events in the same order.
-//!
-//! # Example
-//!
-//! ```
-//! use tt_base::Cycles;
-//! use tt_sim::{run, EventHandler, EventQueue, RunLimit};
-//!
-//! struct Counter {
-//!     fired: Vec<u32>,
-//! }
-//!
-//! impl EventHandler for Counter {
-//!     type Event = u32;
-//!     fn handle(&mut self, _now: Cycles, ev: u32, q: &mut EventQueue<u32>) {
-//!         self.fired.push(ev);
-//!         if ev < 3 {
-//!             q.schedule_after(Cycles::new(10), ev + 1);
-//!         }
-//!     }
-//! }
-//!
-//! let mut q = EventQueue::new();
-//! q.schedule_at(Cycles::ZERO, 0);
-//! let mut h = Counter { fired: vec![] };
-//! let end = run(&mut h, &mut q, RunLimit::none());
-//! assert_eq!(h.fired, vec![0, 1, 2, 3]);
-//! assert_eq!(end, Cycles::new(30));
-//! ```
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use tt_base::{mix64, Cycles};
 
+pub mod cpu;
 mod node_queue;
 
 pub use node_queue::NodeQueue;
@@ -377,137 +358,10 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A component that reacts to simulation events.
-pub trait EventHandler {
-    /// The machine's event type.
-    type Event;
-
-    /// Handles one event at time `now`, possibly scheduling more.
-    fn handle(&mut self, now: Cycles, event: Self::Event, queue: &mut EventQueue<Self::Event>);
-}
-
-/// Bounds on a [`run`] invocation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunLimit {
-    /// Stop once the next event's time reaches this point (that event is
-    /// *not* delivered).
-    pub max_time: Option<Cycles>,
-    /// Stop after delivering this many events.
-    pub max_events: Option<u64>,
-}
-
-impl RunLimit {
-    /// No limits: run until the queue drains.
-    pub fn none() -> Self {
-        RunLimit::default()
-    }
-
-    /// Limit on simulated time only.
-    pub fn until(t: Cycles) -> Self {
-        RunLimit {
-            max_time: Some(t),
-            max_events: None,
-        }
-    }
-
-    /// Limit on delivered events only (a runaway-protocol backstop).
-    pub fn events(n: u64) -> Self {
-        RunLimit {
-            max_time: None,
-            max_events: Some(n),
-        }
-    }
-}
-
-/// Drains the queue through `handler` until it is empty or a limit is hit.
-/// Returns the final simulated time.
-pub fn run<H: EventHandler>(
-    handler: &mut H,
-    queue: &mut EventQueue<H::Event>,
-    limit: RunLimit,
-) -> Cycles {
-    let mut delivered = 0u64;
-    loop {
-        if let Some(max) = limit.max_events {
-            if delivered >= max {
-                return queue.now();
-            }
-        }
-        match queue.peek_time() {
-            None => return queue.now(),
-            Some(head) => {
-                if let Some(max_t) = limit.max_time {
-                    if head >= max_t {
-                        return queue.now();
-                    }
-                }
-            }
-        }
-        let (now, ev) = queue.pop().expect("peeked non-empty");
-        handler.handle(now, ev, queue);
-        delivered += 1;
-    }
-}
-
-/// Like [`run`], but invokes `observe` after every delivered event with
-/// the event just handled and the handler's post-event state. This is the
-/// hook the `tt-check` invariant engine attaches to: invariants are
-/// asserted at every event boundary, where handlers are atomic and the
-/// machine is in a consistent state.
-///
-/// The observer is a separate entry point rather than an `Option` inside
-/// [`run`] so the production loop stays branch-free — checking is exactly
-/// zero-cost when off.
-pub fn run_observed<H: EventHandler>(
-    handler: &mut H,
-    queue: &mut EventQueue<H::Event>,
-    limit: RunLimit,
-    observe: &mut dyn FnMut(Cycles, &H::Event, &H),
-) -> Cycles
-where
-    H::Event: Clone,
-{
-    let mut delivered = 0u64;
-    loop {
-        if let Some(max) = limit.max_events {
-            if delivered >= max {
-                return queue.now();
-            }
-        }
-        match queue.peek_time() {
-            None => return queue.now(),
-            Some(head) => {
-                if let Some(max_t) = limit.max_time {
-                    if head >= max_t {
-                        return queue.now();
-                    }
-                }
-            }
-        }
-        let (now, ev) = queue.pop().expect("peeked non-empty");
-        let observed = ev.clone();
-        handler.handle(now, ev, queue);
-        observe(now, &observed, handler);
-        delivered += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tt_base::DetRng;
-
-    #[derive(Default)]
-    struct Recorder {
-        seen: Vec<(u64, u32)>,
-    }
-
-    impl EventHandler for Recorder {
-        type Event = u32;
-        fn handle(&mut self, now: Cycles, ev: u32, _q: &mut EventQueue<u32>) {
-            self.seen.push((now.raw(), ev));
-        }
-    }
 
     /// An event too large to sit in a heap entry: exercises the slab.
     type Big = [u64; 20];
@@ -572,9 +426,7 @@ mod tests {
         q.schedule_at(Cycles::new(30), 3);
         q.schedule_at(Cycles::new(10), 1);
         q.schedule_at(Cycles::new(20), 2);
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::none());
-        assert_eq!(h.seen, vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     fn same_cycle_fifo<P: Payload>() {
@@ -623,28 +475,6 @@ mod tests {
         q.schedule_at(Cycles::new(10), 1);
         q.pop();
         q.schedule_at(Cycles::new(5), 2);
-    }
-
-    #[test]
-    fn run_respects_time_limit() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Cycles::new(10), 1);
-        q.schedule_at(Cycles::new(20), 2);
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::until(Cycles::new(15)));
-        assert_eq!(h.seen, vec![(10, 1)]);
-        assert_eq!(q.len(), 1, "the event past the limit stays queued");
-    }
-
-    #[test]
-    fn run_respects_event_limit() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule_at(Cycles::new(i), i as u32);
-        }
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::events(4));
-        assert_eq!(h.seen.len(), 4);
     }
 
     #[test]
@@ -726,9 +556,7 @@ mod tests {
         q.schedule_at(Cycles::new(30), 3);
         q.schedule_at(Cycles::new(10), 1);
         q.schedule_at(Cycles::new(20), 2);
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::none());
-        assert_eq!(h.seen, vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
@@ -798,20 +626,6 @@ mod tests {
             assert_eq!(a, b, "seed {seed}");
             assert_eq!(a.len(), 400);
         }
-    }
-
-    #[test]
-    fn run_observed_sees_every_event_at_its_boundary() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Cycles::new(10), 1);
-        q.schedule_at(Cycles::new(20), 2);
-        let mut h = Recorder::default();
-        let mut observed: Vec<(u64, u32, usize)> = Vec::new();
-        run_observed(&mut h, &mut q, RunLimit::none(), &mut |now, ev, h| {
-            observed.push((now.raw(), *ev, h.seen.len()));
-        });
-        // The observer runs after the handler: state reflects the event.
-        assert_eq!(observed, vec![(10, 1, 1), (20, 2, 2)]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The machines' event queue: an [`EventQueue`] under deterministic
-//! `(time, origin, counter)` keys, plus the global barrier.
+//! `(time, origin, counter)` keys, plus the global barrier's count.
 //!
 //! # Keys
 //!
@@ -42,13 +42,15 @@ fn pack_key(origin_id: u64, counter: u64) -> u64 {
 }
 
 /// Global barrier bookkeeping: the `expected`-th arrival of a generation
-/// releases everyone at `max_arrival + delay`.
+/// releases everyone at `max_arrival + delay`; `released` counts the
+/// releases so far, which is also the generation now gathering.
 #[derive(Clone, Debug)]
 struct Barrier {
     expected: usize,
     delay: Cycles,
     arrived: usize,
     max_arrival: Cycles,
+    released: u64,
 }
 
 /// A machine's event queue (see the module docs). Machines schedule
@@ -80,6 +82,7 @@ impl<E> NodeQueue<E> {
                 delay: barrier_delay,
                 arrived: 0,
                 max_arrival: Cycles::ZERO,
+                released: 0,
             },
         }
     }
@@ -164,6 +167,22 @@ impl<E> NodeQueue<E> {
         b.arrived = 0;
         Some(std::mem::replace(&mut b.max_arrival, Cycles::ZERO) + b.delay)
     }
+
+    /// Records the release of barrier `generation`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `generation` is the one gathering (a stale release).
+    pub fn note_barrier_release(&mut self, generation: u64) {
+        let b = &mut self.barrier;
+        assert_eq!(generation, b.released, "stale barrier release");
+        b.released += 1;
+    }
+
+    /// Barriers released so far: the generation of the one gathering.
+    pub fn barriers_released(&self) -> u64 {
+        self.barrier.released
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +212,17 @@ mod tests {
             q.note_barrier_arrival(Cycles::new(3)),
             Some(Cycles::new(43))
         );
+    }
+
+    #[test]
+    fn releases_count_generations_and_reject_stale_ones() {
+        let mut q: NodeQueue<u32> = NodeQueue::new(1, Cycles::new(1));
+        assert_eq!(q.barriers_released(), 0);
+        q.note_barrier_release(0);
+        q.note_barrier_release(1);
+        assert_eq!(q.barriers_released(), 2);
+        let stale = std::panic::catch_unwind(move || q.note_barrier_release(1));
+        assert!(stale.is_err(), "a stale release panics");
     }
 
     #[test]

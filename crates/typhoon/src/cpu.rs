@@ -12,41 +12,21 @@
 use tt_base::addr::{PAddr, VAddr};
 use tt_base::config::SystemConfig;
 use tt_base::stats::Counter;
-use tt_base::workload::Op;
 use tt_base::{Cycles, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{AccessKind, CacheModel, FifoTlb, NodeMemory, PageTable, Tag};
+use tt_sim::cpu::Frontend;
 use tt_tempest::{BlockFault, PageFault, ThreadId};
 
 use crate::np::NpState;
 
-/// Execution status of a node's computation thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CpuStatus {
-    /// Executing ops.
-    Ready,
-    /// Suspended on a page or block access fault; retries the faulting op
-    /// when resumed.
-    BlockedFault,
-    /// Suspended inside an explicit protocol call.
-    BlockedCall,
-    /// Waiting at a barrier.
-    AtBarrier,
-    /// Program finished.
-    Done,
-}
-
-/// Per-CPU statistics.
+/// Per-CPU statistics beyond the front end's.
 #[derive(Clone, Debug, Default)]
 pub struct CpuStats {
-    /// Ops executed (each charged one base cycle).
-    pub ops: Counter,
     /// Tag-checked loads executed to completion.
     pub reads: Counter,
     /// Tag-checked stores executed to completion.
     pub writes: Counter,
-    /// Cycles spent in `Compute` ops.
-    pub compute_cycles: Counter,
     /// Cache misses satisfied locally without protocol involvement.
     pub local_misses: Counter,
     /// Write-upgrades on locally writable blocks.
@@ -57,14 +37,10 @@ pub struct CpuStats {
     pub page_faults: Counter,
     /// Cycles suspended on faults (fault to resume).
     pub fault_stall_cycles: Counter,
-    /// Cycles waiting at barriers.
-    pub barrier_wait_cycles: Counter,
     /// Cycles suspended in protocol calls.
     pub call_stall_cycles: Counter,
     /// RTLB misses observed on this CPU's bus transactions.
     pub rtlb_misses: Counter,
-    /// Cycles skipped by `Op::WaitUntil` (open-loop arrival idling).
-    pub idle_cycles: Counter,
 }
 
 /// The state of one node's computation thread.
@@ -76,21 +52,8 @@ pub struct CpuState {
     pub cache: CacheModel,
     /// The CPU TLB (Table 2: 64-entry fully associative FIFO).
     pub tlb: FifoTlb<tt_base::addr::Vpn>,
-    /// Current op chunk.
-    pub chunk: Vec<Op>,
-    /// Index of the next op in `chunk`.
-    pub pc: usize,
-    /// Local time through which this CPU has executed.
-    pub clock: Cycles,
-    /// Execution status.
-    pub status: CpuStatus,
-    /// Whether a `CpuStep` event is already scheduled (de-duplication).
-    pub step_pending: bool,
-    /// Time at which the current suspension began (for stall accounting).
-    pub suspended_at: Cycles,
-    /// Values observed by `Op::ReadRecord` loads, in program order
-    /// (litmus harnesses read these back after the run).
-    pub recorded: Vec<u64>,
+    /// The op-stream front end shared with DirNNB.
+    pub front: Frontend,
     /// Statistics.
     pub stats: CpuStats,
 }
@@ -107,13 +70,7 @@ impl CpuState {
                 rng,
             ),
             tlb: FifoTlb::new(cfg.cpu.tlb_entries),
-            chunk: Vec::new(),
-            pc: 0,
-            clock: Cycles::ZERO,
-            status: CpuStatus::Ready,
-            step_pending: false,
-            suspended_at: Cycles::ZERO,
-            recorded: Vec::new(),
+            front: Frontend::default(),
             stats: CpuStats::default(),
         }
     }
@@ -159,7 +116,6 @@ pub fn exec_access(
     store_value: u64,
 ) -> AccessOutcome {
     let mut cost = Cycles::new(1);
-    cpu.stats.ops.inc();
 
     // Virtual address translation.
     if !cpu.tlb.access(addr.page()) {

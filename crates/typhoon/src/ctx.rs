@@ -16,10 +16,11 @@ use tt_mem::cache::Probe;
 use tt_mem::{NodeMemory, PageMeta, PageTable, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
 use tt_tempest::{BulkRequest, HandlerId, TempestCtx, TempestError, ThreadId};
+use tt_sim::cpu::CpuStatus;
 use tt_sim::NodeQueue;
 
-use crate::cpu::{CpuState, CpuStatus};
-use crate::machine::{BulkState, Event};
+use crate::cpu::CpuState;
+use crate::machine::{perform_access, BulkState, Event};
 use crate::np::NpState;
 
 /// The per-handler Tempest context (see module docs).
@@ -53,65 +54,13 @@ impl NodeCtx<'_> {
     /// or re-faults (the Stache page-fault handler resumes expecting a
     /// block fault, so a refault here is normal, not an error).
     fn retry_pending_access(&mut self) {
-        use tt_base::workload::Op;
-        let op = match self.cpu.chunk.get(self.cpu.pc) {
-            Some(op) => *op,
-            None => return,
+        let Some(op) = self.cpu.front.pending_access() else {
+            return;
         };
-        let (addr, kind, value, expect, record) = match op {
-            Op::Read { addr, expect } => (addr, tt_mem::AccessKind::Load, 0, expect, false),
-            Op::ReadRecord { addr } => (addr, tt_mem::AccessKind::Load, 0, None, true),
-            Op::Write { addr, value } => (addr, tt_mem::AccessKind::Store, value, None, false),
-            _ => return,
-        };
-        match crate::cpu::exec_access(
-            self.cfg, self.cpu, self.np, self.mem, self.ptable, addr, kind, value,
-        ) {
-            crate::cpu::AccessOutcome::Done { cost, value: loaded } => {
-                if self.cfg.verify_values {
-                    if let (Some(expect), Some(got)) = (expect, loaded) {
-                        assert_eq!(
-                            got, expect,
-                            "coherence violation: node {} read {addr} on retry",
-                            self.id
-                        );
-                    }
-                }
-                if record {
-                    self.cpu
-                        .recorded
-                        .push(loaded.expect("a load always produces a value"));
-                }
-                self.cpu.clock += cost;
-                self.cpu.pc += 1;
-            }
-            crate::cpu::AccessOutcome::PageFault(fault, cost) => {
-                self.cpu.clock += cost + self.cfg.typhoon.effective_fault_detect();
-                self.cpu.status = CpuStatus::BlockedFault;
-                self.cpu.suspended_at = self.cpu.clock;
-                let at = self.cpu.clock;
-                self.queue.schedule(
-                    at,
-                    Event::NpWork {
-                        node: self.id.index(),
-                        work: crate::np::NpWork::PageFault(fault),
-                    },
-                );
-            }
-            crate::cpu::AccessOutcome::BlockFault(fault, cost) => {
-                self.cpu.clock += cost;
-                self.cpu.status = CpuStatus::BlockedFault;
-                self.cpu.suspended_at = self.cpu.clock;
-                let at = self.cpu.clock;
-                self.queue.schedule(
-                    at,
-                    Event::NpWork {
-                        node: self.id.index(),
-                        work: crate::np::NpWork::BlockFault(fault),
-                    },
-                );
-            }
-        }
+        self.cpu.front.stats.ops.inc();
+        perform_access(
+            self.cfg, self.cpu, self.np, self.mem, self.ptable, op, self.queue,
+        );
     }
 
     fn translate_or_die(&self, addr: VAddr) -> tt_base::addr::PAddr {
@@ -359,26 +308,23 @@ impl TempestCtx for NodeCtx<'_> {
         );
         assert!(
             matches!(
-                self.cpu.status,
-                CpuStatus::BlockedFault | CpuStatus::BlockedCall
+                self.cpu.front.status,
+                CpuStatus::BlockedAccess | CpuStatus::BlockedCall
             ),
             "resume of a thread that is not suspended (status {:?})",
-            self.cpu.status
+            self.cpu.front.status
         );
         let resume_at = self.now() + Cycles::new(1);
-        let stalled = resume_at - self.cpu.suspended_at;
-        let was_fault = self.cpu.status == CpuStatus::BlockedFault;
-        match self.cpu.status {
-            CpuStatus::BlockedFault => self.cpu.stats.fault_stall_cycles.add(stalled.raw()),
-            CpuStatus::BlockedCall => self.cpu.stats.call_stall_cycles.add(stalled.raw()),
-            _ => unreachable!(),
-        }
-        self.cpu.status = CpuStatus::Ready;
-        self.cpu.clock = if self.cpu.clock > resume_at {
-            self.cpu.clock
+        let stalled = (resume_at - self.cpu.front.suspended_at).raw();
+        let was_fault = self.cpu.front.status == CpuStatus::BlockedAccess;
+        if was_fault {
+            self.cpu.stats.fault_stall_cycles.add(stalled);
         } else {
-            resume_at
-        };
+            self.cpu.stats.call_stall_cycles.add(stalled);
+        }
+        let front = &mut self.cpu.front;
+        front.status = CpuStatus::Ready;
+        front.clock = front.clock.max(resume_at);
 
         // Resuming unmasks the CPU's nacked bus transaction, which
         // completes *before* the NP dispatches another handler — so the
@@ -390,10 +336,9 @@ impl TempestCtx for NodeCtx<'_> {
         if was_fault {
             self.retry_pending_access();
         }
-        if self.cpu.status == CpuStatus::Ready && !self.cpu.step_pending {
-            self.cpu.step_pending = true;
-            let at = self.cpu.clock;
-            self.queue.schedule(at, Event::CpuStep(self.id.index()));
+        if self.cpu.front.status == CpuStatus::Ready {
+            let step = Event::CpuStep(self.id.index());
+            self.cpu.front.wake(self.queue, step);
         }
     }
 }

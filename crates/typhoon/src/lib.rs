@@ -25,7 +25,9 @@
 //! *quantum-batched*: a CPU executes up to one network latency of work
 //! per event, so cross-processor effects are observed with at most one
 //! quantum of skew — the same conservative-window argument WWT makes.
-//! Fault/handler/resume paths are exact.
+//! That op-stream interpreter is `tt_sim::cpu`, shared with DirNNB; this
+//! crate adds the tag-checked access and the NP. Fault/handler/resume
+//! paths are exact.
 //!
 //! [`Protocol`]: tt_tempest::Protocol
 

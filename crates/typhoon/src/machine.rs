@@ -9,20 +9,24 @@
 //! `(time, origin, counter)` in a [`NodeQueue`], where the origin is the
 //! node whose handler scheduled the event; that key order fixes which of
 //! several same-cycle events fires first, and with it the cycle tables.
+//! The CPUs' op streams run through the front end shared with DirNNB
+//! ([`tt_sim::cpu`]); this machine adds the tag-checked access, its
+//! faults and protocol calls, both handed to the NP.
 
 use std::collections::HashMap;
 
 use tt_base::addr::{VAddr, WORD_BYTES};
 use tt_base::config::SystemConfig;
 use tt_base::stats::Report;
-use tt_base::workload::{Layout, Op, Workload};
+use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, NodeId};
-use tt_mem::{AccessKind, NodeMemory, PageTable, Tag};
+use tt_mem::{NodeMemory, PageTable, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
+use tt_sim::cpu::{self, CpuHost, CpuStatus, Frontend, MemOp};
 use tt_sim::NodeQueue;
 use tt_tempest::{BlockDirSnapshot, BulkRequest, HandlerId, Message, Protocol, UserCall};
 
-use crate::cpu::{exec_access, AccessOutcome, CpuState, CpuStatus};
+use crate::cpu::{exec_access, AccessOutcome, CpuState};
 use crate::ctx::NodeCtx;
 use crate::np::{NpState, NpWork};
 use crate::trace::{HandlerKind, TraceEvent, TraceRecord, Tracer};
@@ -103,14 +107,6 @@ struct NodeState {
     bulk_seq: u64,
 }
 
-/// Barrier bookkeeping: how many releases the machine has applied and
-/// the generation it expects next (arrivals are counted by the queue).
-#[derive(Debug, Default)]
-struct BarrierTally {
-    generation: u64,
-    releases: u64,
-}
-
 /// The result of a completed simulation.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -120,17 +116,17 @@ pub struct RunResult {
     pub report: Report,
 }
 
+/// An event-boundary observer (see [`TyphoonMachine::run_observed`]).
+type Observer<'a> = &'a mut dyn FnMut(Cycles, &Event, &TyphoonMachine);
+
 /// The Typhoon machine (see crate docs).
 pub struct TyphoonMachine {
     cfg: SystemConfig,
-    quantum: Cycles,
     nodes: Vec<NodeState>,
     protocols: Vec<Option<Box<dyn Protocol>>>,
     network: Network,
-    barrier: BarrierTally,
     workload: Box<dyn Workload>,
     layout: Layout,
-    done: Vec<Option<Cycles>>,
     tracer: Option<Box<dyn Tracer>>,
     /// Seed for same-cycle tie-shuffling, applied to the event queue at
     /// `run` time (a `tt-check` legal-nondeterminism knob).
@@ -175,18 +171,13 @@ impl TyphoonMachine {
         if let Some(spec) = cfg.fault {
             network.set_fault_plan(spec);
         }
-        let quantum = cfg.timing.network_latency;
-        let done = vec![None; cfg.nodes];
         TyphoonMachine {
             cfg,
-            quantum,
             nodes,
             protocols,
             network,
-            barrier: BarrierTally::default(),
             workload,
             layout,
-            done,
             tracer: None,
             tie_shuffle: None,
         }
@@ -246,7 +237,7 @@ impl TyphoonMachine {
     /// Values `node`'s CPU observed via `Op::ReadRecord` loads, in
     /// program order (litmus harnesses read these back after a run).
     pub fn recorded_reads(&self, node: usize) -> &[u64] {
-        &self.nodes[node].cpu.recorded
+        &self.nodes[node].cpu.front.recorded
     }
 
     /// Snapshots of every home-block directory entry across all nodes
@@ -279,12 +270,7 @@ impl TyphoonMachine {
     /// is enabled and a load observes a value that a sequentially
     /// consistent execution could not produce.
     pub fn run(&mut self) -> RunResult {
-        let mut queue = self.new_queue();
-        self.init_nodes(&mut queue);
-        while let Some((now, event)) = queue.pop() {
-            self.handle(now, event, &mut queue);
-        }
-        self.finish()
+        self.drive(None)
     }
 
     /// Like [`TyphoonMachine::run`], but invokes `observe` after every
@@ -296,61 +282,49 @@ impl TyphoonMachine {
         &mut self,
         observe: &mut dyn FnMut(Cycles, &Event, &TyphoonMachine),
     ) -> RunResult {
-        let mut queue = self.new_queue();
-        self.init_nodes(&mut queue);
-        while let Some((now, event)) = queue.pop() {
-            let observed = event.clone();
-            self.handle(now, event, &mut queue);
-            observe(now, &observed, self);
-        }
-        self.finish()
+        self.drive(Some(observe))
     }
 
-    fn new_queue(&self) -> NodeQueue<Event> {
+    /// The event loop behind [`TyphoonMachine::run`] and
+    /// [`TyphoonMachine::run_observed`].
+    fn drive(&mut self, mut observe: Option<Observer<'_>>) -> RunResult {
         let mut queue = NodeQueue::new(self.cfg.nodes, self.cfg.timing.barrier_latency);
         if let Some(seed) = self.tie_shuffle {
             queue.enable_tie_shuffle(seed);
         }
-        queue
-    }
-
-    /// Asserts the machine drained cleanly and builds the result.
-    fn finish(&mut self) -> RunResult {
-        let stuck: Vec<_> = self
-            .nodes
-            .iter()
-            .filter(|n| n.cpu.status != CpuStatus::Done)
-            .map(|n| (n.cpu.id, n.cpu.status))
-            .collect();
-        assert!(
-            stuck.is_empty(),
-            "machine deadlocked with processors still blocked: {stuck:?} \
-             (np work pending={:?})",
-            self.nodes
-                .iter()
-                .map(|n| n.np.has_work())
-                .collect::<Vec<_>>()
+        self.init_nodes(&mut queue);
+        while let Some((now, event)) = queue.pop() {
+            match observe.as_mut() {
+                None => self.handle(now, event, &mut queue),
+                Some(observe) => {
+                    let observed = event.clone();
+                    self.handle(now, event, &mut queue);
+                    observe(now, &observed, self);
+                }
+            }
+        }
+        let cycles = cpu::finish_time(self.nodes.iter().map(|n| &n.cpu.front)).unwrap_or_else(
+            |stuck| {
+                let np_work: Vec<bool> = self.nodes.iter().map(|n| n.np.has_work()).collect();
+                panic!(
+                    "machine deadlocked with processors still blocked: {stuck:?} \
+                     (np work pending={np_work:?})"
+                )
+            },
         );
-
-        let cycles = self
-            .done
-            .iter()
-            .map(|d| d.expect("all processors done"))
-            .max()
-            .unwrap_or(Cycles::ZERO);
         RunResult {
             cycles,
-            report: self.build_report(cycles),
+            report: self.build_report(cycles, queue.barriers_released()),
         }
     }
 
     // --- Reporting -------------------------------------------------------
 
-    fn build_report(&mut self, cycles: Cycles) -> Report {
+    fn build_report(&mut self, cycles: Cycles, barriers: u64) -> Report {
         let mut r = Report::new();
         r.push_count("machine.cycles", cycles.raw());
         r.push_count("machine.nodes", self.cfg.nodes as u64);
-        r.push_count("machine.barriers", self.barrier.releases);
+        r.push_count("machine.barriers", barriers);
 
         let mut ops = 0u64;
         let mut reads = 0u64;
@@ -369,23 +343,23 @@ impl TyphoonMachine {
         let mut rtlb_misses = 0u64;
         let mut idle = 0u64;
         for node in &self.nodes {
-            let s = &node.cpu.stats;
-            ops += s.ops.get();
+            let (s, f) = (&node.cpu.stats, &node.cpu.front.stats);
+            ops += f.ops.get();
             reads += s.reads.get();
             writes += s.writes.get();
-            compute += s.compute_cycles.get();
+            compute += f.compute_cycles.get();
             local_misses += s.local_misses.get();
             upgrades += s.upgrades.get();
             block_faults += s.block_faults.get();
             page_faults += s.page_faults.get();
             fault_stall += s.fault_stall_cycles.get();
-            barrier_wait += s.barrier_wait_cycles.get();
+            barrier_wait += f.barrier_wait_cycles.get();
             call_stall += s.call_stall_cycles.get();
             cache_hits += node.cpu.cache.stats().hits.get();
             cache_misses += node.cpu.cache.stats().misses.get();
             tlb_misses += node.cpu.tlb.stats().misses.get();
             rtlb_misses += s.rtlb_misses.get();
-            idle += s.idle_cycles.get();
+            idle += f.idle_cycles.get();
         }
         r.push_count("cpu.ops", ops);
         r.push_count("cpu.reads", reads);
@@ -454,7 +428,7 @@ impl TyphoonMachine {
     fn handle(&mut self, now: Cycles, event: Event, queue: &mut NodeQueue<Event>) {
         queue.set_origin(event.target());
         match event {
-            Event::CpuStep(n) => self.cpu_step(n, now, queue),
+            Event::CpuStep(n) => cpu::step(self, n, now, queue),
             Event::NpDispatch(n) => {
                 let np = &mut self.nodes[n].np;
                 np.dispatch_pending = false;
@@ -494,7 +468,10 @@ impl TyphoonMachine {
                 self.try_dispatch(node, now, queue);
             }
             Event::Deliver(packet) => self.deliver(packet, now, queue),
-            Event::BarrierRelease { generation } => self.release(now, generation, queue),
+            Event::BarrierRelease { generation } => {
+                self.trace(now, TraceEvent::BarrierRelease);
+                cpu::release(self, now, generation, queue);
+            }
             Event::BulkInject { node, id } => self.bulk_inject(node, id, now, queue),
         }
     }
@@ -509,11 +486,7 @@ impl TyphoonMachine {
             proto.init(&mut ctx);
             self.protocols[n] = Some(proto);
         }
-        for n in 0..self.nodes.len() {
-            queue.set_origin(Some(n));
-            self.nodes[n].cpu.step_pending = true;
-            queue.schedule(Cycles::ZERO, Event::CpuStep(n));
-        }
+        cpu::start(self, queue);
     }
 
     #[inline]
@@ -545,242 +518,6 @@ impl TyphoonMachine {
             queue,
             bulk_out: &mut node.bulk,
             bulk_seq: &mut node.bulk_seq,
-        }
-    }
-
-    // --- CPU execution -------------------------------------------------
-
-    /// The per-op inner loop. `self` is destructured once so the op loop
-    /// works on a single `&mut NodeState` instead of re-indexing per op —
-    /// this is the simulation's hottest code.
-    fn cpu_step(&mut self, n: usize, now: Cycles, queue: &mut NodeQueue<Event>) {
-        let TyphoonMachine {
-            cfg,
-            quantum,
-            nodes,
-            workload,
-            done,
-            barrier,
-            ..
-        } = self;
-        let node = &mut nodes[n];
-        node.cpu.step_pending = false;
-        if node.cpu.status != CpuStatus::Ready {
-            return;
-        }
-        if node.cpu.clock < now {
-            node.cpu.clock = now;
-        }
-        let mut deadline = now + *quantum;
-        loop {
-            // Refill the op chunk if exhausted, reusing its allocation.
-            if node.cpu.pc >= node.cpu.chunk.len() {
-                let mut chunk = std::mem::take(&mut node.cpu.chunk);
-                let refilled = workload.next_chunk_into(NodeId::new(n as u16), &mut chunk);
-                if refilled {
-                    node.cpu.chunk = chunk;
-                    node.cpu.pc = 0;
-                    if node.cpu.chunk.is_empty() {
-                        continue;
-                    }
-                } else {
-                    node.cpu.status = CpuStatus::Done;
-                    done[n] = Some(node.cpu.clock);
-                    return;
-                }
-            }
-
-            let op = node.cpu.chunk[node.cpu.pc];
-            match op {
-                Op::Compute(k) => {
-                    let cpu = &mut node.cpu;
-                    cpu.clock += Cycles::new(k as u64);
-                    cpu.stats.compute_cycles.add(k as u64);
-                    cpu.stats.ops.inc();
-                    cpu.pc += 1;
-                }
-                Op::Read { addr, expect } => {
-                    if !Self::access(
-                        cfg,
-                        node,
-                        n,
-                        queue,
-                        addr,
-                        AccessKind::Load,
-                        0,
-                        expect,
-                        false,
-                    ) {
-                        return;
-                    }
-                }
-                Op::ReadRecord { addr } => {
-                    if !Self::access(cfg, node, n, queue, addr, AccessKind::Load, 0, None, true) {
-                        return;
-                    }
-                }
-                Op::Write { addr, value } => {
-                    if !Self::access(
-                        cfg,
-                        node,
-                        n,
-                        queue,
-                        addr,
-                        AccessKind::Store,
-                        value,
-                        None,
-                        false,
-                    ) {
-                        return;
-                    }
-                }
-                Op::Barrier => {
-                    let cpu = &mut node.cpu;
-                    cpu.pc += 1;
-                    cpu.stats.ops.inc();
-                    cpu.status = CpuStatus::AtBarrier;
-                    cpu.suspended_at = cpu.clock;
-                    let arrival = cpu.clock;
-                    // The last arrival schedules the release.
-                    if let Some(release_at) = queue.note_barrier_arrival(arrival) {
-                        queue.schedule_global(
-                            release_at,
-                            Event::BarrierRelease {
-                                generation: barrier.generation,
-                            },
-                        );
-                    }
-                    return;
-                }
-                Op::UserCall { op, arg } => {
-                    let cpu = &mut node.cpu;
-                    cpu.pc += 1;
-                    cpu.stats.ops.inc();
-                    cpu.status = CpuStatus::BlockedCall;
-                    cpu.suspended_at = cpu.clock;
-                    let at = cpu.clock + Cycles::new(1);
-                    let thread = cpu.thread();
-                    queue.schedule(
-                        at,
-                        Event::NpWork {
-                            node: n,
-                            work: NpWork::UserCall(thread, UserCall { op, arg }),
-                        },
-                    );
-                    return;
-                }
-                Op::WaitUntil { until } => {
-                    let cpu = &mut node.cpu;
-                    cpu.pc += 1;
-                    cpu.stats.ops.inc();
-                    let target = Cycles::new(until);
-                    if target > cpu.clock {
-                        cpu.stats.idle_cycles.add((target - cpu.clock).raw());
-                        cpu.clock = target;
-                    }
-                }
-            }
-
-            if node.cpu.clock >= deadline {
-                let at = node.cpu.clock;
-                // Direct execution (WWT-style): if every pending event
-                // lies strictly beyond this CPU's clock, the wakeup we
-                // are about to schedule would be the very next event
-                // popped — so skip the queue round trip and keep
-                // executing inline. The machine state and the order of all
-                // remaining events
-                // are exactly what the scheduled path would produce; only
-                // the self-wakeup is elided (and it carries a reserved
-                // key, so eliding it perturbs no other event's key),
-                // which is why reported cycles are byte-identical.
-                if cfg.direct_execution && queue.peek_time().is_none_or(|t| t > at) {
-                    deadline = at + *quantum;
-                    continue;
-                }
-                let cpu = &mut node.cpu;
-                cpu.step_pending = true;
-                queue.schedule_wakeup(at, n, Event::CpuStep(n));
-                return;
-            }
-        }
-    }
-
-    /// Executes one tag-checked access; returns `false` if the CPU
-    /// suspended (fault taken). An associated function over the split
-    /// borrows so [`TyphoonMachine::cpu_step`] can call it while holding
-    /// `node`.
-    #[allow(clippy::too_many_arguments)]
-    fn access(
-        cfg: &SystemConfig,
-        node: &mut NodeState,
-        n: usize,
-        queue: &mut NodeQueue<Event>,
-        addr: VAddr,
-        kind: AccessKind,
-        value: u64,
-        expect: Option<u64>,
-        record: bool,
-    ) -> bool {
-        let outcome = exec_access(
-            cfg,
-            &mut node.cpu,
-            &mut node.np,
-            &mut node.mem,
-            &node.ptable,
-            addr,
-            kind,
-            value,
-        );
-        match outcome {
-            AccessOutcome::Done { cost, value: loaded } => {
-                if cfg.verify_values {
-                    if let (Some(expect), Some(got)) = (expect, loaded) {
-                        assert_eq!(
-                            got,
-                            expect,
-                            "coherence violation: node {n} read {addr} at cycle {} and \
-                             observed {got:#x}, expected {expect:#x}",
-                            node.cpu.clock
-                        );
-                    }
-                }
-                if record {
-                    node.cpu
-                        .recorded
-                        .push(loaded.expect("a load always produces a value"));
-                }
-                node.cpu.clock += cost;
-                node.cpu.pc += 1;
-                true
-            }
-            AccessOutcome::PageFault(fault, cost) => {
-                node.cpu.clock += cost + cfg.typhoon.effective_fault_detect();
-                node.cpu.status = CpuStatus::BlockedFault;
-                node.cpu.suspended_at = node.cpu.clock;
-                let at = node.cpu.clock;
-                queue.schedule(
-                    at,
-                    Event::NpWork {
-                        node: n,
-                        work: NpWork::PageFault(fault),
-                    },
-                );
-                false
-            }
-            AccessOutcome::BlockFault(fault, cost) => {
-                node.cpu.clock += cost;
-                node.cpu.status = CpuStatus::BlockedFault;
-                node.cpu.suspended_at = node.cpu.clock;
-                let at = node.cpu.clock;
-                queue.schedule(
-                    at,
-                    Event::NpWork {
-                        node: n,
-                        work: NpWork::BlockFault(fault),
-                    },
-                );
-                false
-            }
         }
     }
 
@@ -857,10 +594,10 @@ impl TyphoonMachine {
         // Software Tempest: the handler ran on the primary CPU, stealing
         // its cycles if it was computing.
         if self.cfg.typhoon.np_mode == tt_base::config::NpMode::OnCpu
-            && node.cpu.status == crate::cpu::CpuStatus::Ready
-            && node.cpu.clock < np.busy_until
+            && node.cpu.front.status == CpuStatus::Ready
+            && node.cpu.front.clock < np.busy_until
         {
-            node.cpu.clock = np.busy_until;
+            node.cpu.front.clock = np.busy_until;
         }
         if np.has_work() && !np.dispatch_pending {
             np.dispatch_pending = true;
@@ -1015,31 +752,89 @@ impl TyphoonMachine {
             queue.schedule(at, Event::BulkInject { node: n, id });
         }
     }
+}
 
-    /// Releases every node from the barrier at `at`. Each wakeup is keyed
-    /// under its node's own origin counter.
-    fn release(&mut self, at: Cycles, generation: u64, queue: &mut NodeQueue<Event>) {
-        assert_eq!(generation, self.barrier.generation, "stale barrier release");
-        self.barrier.generation += 1;
-        self.barrier.releases += 1;
-        self.trace(at, TraceEvent::BarrierRelease);
-        for (n, node) in self.nodes.iter_mut().enumerate() {
-            let cpu = &mut node.cpu;
-            assert_eq!(cpu.status, CpuStatus::AtBarrier, "node {n} missed the barrier");
-            cpu.stats
-                .barrier_wait_cycles
-                .add((at - cpu.suspended_at).raw());
-            cpu.status = CpuStatus::Ready;
-            cpu.clock = at;
-            if !cpu.step_pending {
-                cpu.step_pending = true;
-                queue.set_origin(Some(n));
-                queue.schedule(at, Event::CpuStep(n));
-            }
-        }
+/// Typhoon's side of the shared front end: the tag-checked access and
+/// protocol calls, both of which suspend into the NP.
+impl CpuHost for TyphoonMachine {
+    type Event = Event;
+
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
+    }
+
+    #[inline]
+    fn cpu_and_workload(&mut self, n: usize) -> (&mut Frontend, &mut dyn Workload) {
+        (&mut self.nodes[n].cpu.front, &mut *self.workload)
+    }
+
+    #[inline]
+    fn access(&mut self, n: usize, op: MemOp, queue: &mut NodeQueue<Event>) -> bool {
+        let node = &mut self.nodes[n];
+        perform_access(
+            &self.cfg,
+            &mut node.cpu,
+            &mut node.np,
+            &mut node.mem,
+            &node.ptable,
+            op,
+            queue,
+        )
+    }
+
+    fn user_call(&mut self, n: usize, op: u32, arg: u64, queue: &mut NodeQueue<Event>) -> bool {
+        let cpu = &mut self.nodes[n].cpu;
+        cpu.front.suspend(CpuStatus::BlockedCall);
+        queue.schedule(
+            cpu.front.clock + Cycles::new(1),
+            Event::NpWork {
+                node: n,
+                work: NpWork::UserCall(cpu.thread(), UserCall { op, arg }),
+            },
+        );
+        false
+    }
+
+    fn step_event(n: usize) -> Event {
+        Event::CpuStep(n)
+    }
+
+    fn barrier_event(generation: u64) -> Event {
+        Event::BarrierRelease { generation }
     }
 }
 
+/// Performs one tag-checked memory op, from the op loop or from a
+/// handler's resume. Returns `false` if it faulted: the CPU is suspended
+/// and the fault is queued for the NP.
+pub(crate) fn perform_access(
+    cfg: &SystemConfig,
+    cpu: &mut CpuState,
+    np: &mut NpState,
+    mem: &mut NodeMemory,
+    ptable: &PageTable,
+    op: MemOp,
+    queue: &mut NodeQueue<Event>,
+) -> bool {
+    let (work, cost) = match exec_access(cfg, cpu, np, mem, ptable, op.addr, op.kind, op.value) {
+        AccessOutcome::Done { cost, value } => {
+            cpu.front
+                .retire(cpu.id.index(), &op, value, cfg.verify_values);
+            cpu.front.clock += cost;
+            return true;
+        }
+        AccessOutcome::PageFault(fault, cost) => (
+            NpWork::PageFault(fault),
+            cost + cfg.typhoon.effective_fault_detect(),
+        ),
+        AccessOutcome::BlockFault(fault, cost) => (NpWork::BlockFault(fault), cost),
+    };
+    cpu.front.clock += cost;
+    cpu.front.suspend(CpuStatus::BlockedAccess);
+    let node = cpu.id.index();
+    queue.schedule(cpu.front.clock, Event::NpWork { node, work });
+    false
+}
 /// Reads `len` bytes starting at virtual `addr` (word-aligned) through the
 /// node's page table.
 fn read_virtual_bytes(mem: &NodeMemory, pt: &PageTable, addr: VAddr, len: usize) -> Vec<u8> {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Full local verification: release build, workspace tests, lint, and a
-# tiny end-to-end figure3 smoke that exercises the parallel sweep path.
+# Full local verification: release build, workspace tests, lint, the
+# benchmark's own build and tests, and end-to-end smokes of the sweep
+# binaries and tt-check.
 # Run from anywhere inside the repository.
 set -eu
 
@@ -14,6 +15,13 @@ cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# The benchmark (perfbench/, a Cargo workspace of its own) builds the
+# simulator crates through path dependencies and nothing else compiles
+# it: build and test it here so an API break in crates/* fails now, not
+# first in the benchmark pipeline.
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> figure3 smoke (--scale 64 --nodes 8 --jobs 2)"
 cargo run --release -p tt-bench --bin figure3 -- \
