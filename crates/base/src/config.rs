@@ -190,6 +190,10 @@ impl std::str::FromStr for Topology {
         match name {
             "ideal" if param.is_none() => Ok(Topology::Ideal),
             "mesh" => Ok(Topology::Mesh2D { width: param.unwrap_or(0) }),
+            // Arity 1 would never reach a common ancestor; 0 derives 4.
+            "fat-tree" | "fattree" if param == Some(1) => Err(format!(
+                "fat-tree arity must be 0 (derive) or at least 2 in {s:?}"
+            )),
             "fat-tree" | "fattree" => Ok(Topology::FatTree { arity: param.unwrap_or(0) }),
             _ => Err(format!(
                 "unknown topology {s:?} (ideal|mesh[:width]|fat-tree[:arity])"
@@ -525,6 +529,11 @@ mod tests {
         assert!("torus".parse::<Topology>().is_err());
         assert!("mesh:x".parse::<Topology>().is_err());
         assert!("ideal:3".parse::<Topology>().is_err());
+        assert!("fat-tree:1".parse::<Topology>().is_err());
+        assert_eq!(
+            "fat-tree:0".parse::<Topology>(),
+            Ok(Topology::FatTree { arity: 0 })
+        );
         assert_eq!(Topology::default(), Topology::Ideal);
     }
 

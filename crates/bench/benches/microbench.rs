@@ -10,9 +10,10 @@ use std::hint::black_box;
 
 use tt_base::addr::PAGE_BYTES;
 use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE};
-use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
+use tt_base::{Cycles, DetRng, NodeId, SystemConfig, Topology, VAddr};
 use tt_bench::harness::Runner;
 use tt_mem::{AccessKind, CacheModel, FifoTlb, NodeMemory, PageTable, Tag};
+use tt_net::{Network, Packet, Payload, VirtualNet};
 use tt_sim::EventQueue;
 use tt_stache::StacheProtocol;
 use tt_typhoon::cpu::{exec_access, AccessOutcome, CpuState};
@@ -187,7 +188,6 @@ fn bench_tag_check_packed_vs_byte(r: &Runner) {
 /// one allocates nothing. The bench measures both time and (via the
 /// harness's counting allocator) allocations per message, printed once.
 fn bench_payload_inline(r: &Runner) {
-    use tt_net::Payload;
     let block = [0xA5u8; 32];
     // One-shot allocation census outside the timed loop.
     let before = tt_base::alloc_stats::alloc_count();
@@ -204,6 +204,48 @@ fn bench_payload_inline(r: &Runner) {
         for i in 0..10_000u64 {
             let p = Payload::with_block(&[i, i ^ 7], block);
             acc = acc.wrapping_add(p.words()[0]).wrapping_add(p.data()[0] as u64);
+        }
+        black_box(acc)
+    });
+}
+
+/// Routed sends on a warm 256-node 2-D mesh: every ordered node pair
+/// has already sent once, so each link's occupancy state holds an entry
+/// per source routing over it and the timed sends only look entries up
+/// (no map growth). One iteration is `SENDS` uniformly random
+/// cross-node packets; divide by it for ns per send.
+fn bench_route_deliver_mesh256_warm(r: &Runner) {
+    const NODES: u16 = 256;
+    const SENDS: usize = 4096;
+    let packet = |src: u16, dst: u16, i: u64| Packet {
+        src: NodeId::new(src),
+        dst: NodeId::new(dst),
+        vn: VirtualNet::Request,
+        handler: 1,
+        payload: Payload::args(&[i]),
+    };
+    let mut net = Network::new(NODES as usize, Cycles::new(100));
+    net.set_topology(Topology::Mesh2D { width: 0 });
+    let mut now = Cycles::ZERO;
+    for src in 0..NODES {
+        for dst in (0..NODES).filter(|&d| d != src) {
+            net.send(now, &packet(src, dst, 0));
+        }
+        now += Cycles::new(1);
+    }
+    let mut rng = DetRng::new(7);
+    let packets: Vec<Packet> = (0..SENDS as u64)
+        .map(|i| {
+            let src = rng.below(NODES as u64) as u16;
+            let dst = (src as u64 + 1 + rng.below(NODES as u64 - 1)) as u16 % NODES;
+            packet(src, dst, i)
+        })
+        .collect();
+    r.bench("net/route_deliver_mesh256_warm", || {
+        let mut acc = 0u64;
+        for p in &packets {
+            now += Cycles::new(3);
+            acc = acc.wrapping_add(net.send(now, p).raw());
         }
         black_box(acc)
     });
@@ -250,5 +292,6 @@ fn main() {
     bench_hit_run_direct_vs_scheduled(&r);
     bench_tag_check_packed_vs_byte(&r);
     bench_payload_inline(&r);
+    bench_route_deliver_mesh256_warm(&r);
     bench_stache_miss_path(&r);
 }

@@ -47,11 +47,14 @@ fn help_prints_usage_and_exits_2() {
 #[test]
 fn unknown_flags_and_bad_values_print_usage_and_exit_2() {
     for (name, exe) in BINARIES {
-        let cases: [(&[&str], &str); 5] = [
+        let cases: [(&[&str], &str); 6] = [
             (&["--bogus"], "unknown argument --bogus"),
             (&["--jobs"], "--jobs requires a value"),
             (&["--jobs", "abc"], "--jobs N"),
             (&["--topology", "ring"], "--topology"),
+            // Parses as a number but names no tree: rejected up front,
+            // not by a panic in a sweep worker.
+            (&["--topology", "fat-tree:1"], "--topology: fat-tree arity"),
             // A removed flag is rejected like any other unknown one.
             (&["--sim-threads", "2"], "unknown argument --sim-threads"),
         ];

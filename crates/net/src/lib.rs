@@ -373,7 +373,9 @@ pub struct Network {
     /// queue behind its own earlier traffic on every link of their route,
     /// never behind another source's: cross-source contention is
     /// approximated away, and the approximation is kept because the
-    /// committed cycle tables depend on it (DESIGN.md §11).
+    /// committed cycle tables depend on it (DESIGN.md §11). The source
+    /// sits in the high bits, so the map spreads these keys only because
+    /// `FxHasher::finish` mixes high key bits into the low hash bits.
     link_free: FxHashMap<u64, Cycles>,
     stats: NetStats,
     /// Seeded per-packet latency jitter (`None` = the paper's constant

@@ -101,11 +101,13 @@ cargo run --release -p tt-bench --bin tt-check -- kv --seeds 200
 cargo run --release -p tt-bench --bin tt-check -- kv --seeds 100 --faults
 
 # Big-machine smoke: a 256-node mesh figure-3 point. The cycle table
-# must be bit-identical between one and two sweep workers, and the heap
-# high-water mark per node must stay within 2x of the committed
-# results/BENCH_figure3_256_mesh.json snapshot — the guard that keeps
-# the compact directory state compact.
-echo "==> figure3 big-machine smoke (256-node mesh, --jobs 1 vs 2 + memory guard)"
+# must be bit-identical between one and two sweep workers, every point's
+# cycles must equal the committed results/BENCH_figure3_256_mesh.json
+# snapshot (host-side speedups of the routed network may not move a
+# cycle), and the heap high-water mark per node must stay within 2x of
+# that snapshot — the guard that keeps the compact directory state
+# compact.
+echo "==> figure3 big-machine smoke (256-node mesh, --jobs 1 vs 2 + cycles + memory guard)"
 cargo run --release -p tt-bench --bin figure3 -- \
     --nodes 256 --topology mesh --apps em3d --scale 64 --jobs 1 \
     --json /tmp/fig3_mesh256.json >/tmp/fig3_mesh256_a.txt
@@ -113,6 +115,16 @@ cargo run --release -p tt-bench --bin figure3 -- \
     --nodes 256 --topology mesh --apps em3d --scale 64 --jobs 2 \
     >/tmp/fig3_mesh256_b.txt
 cmp /tmp/fig3_mesh256_a.txt /tmp/fig3_mesh256_b.txt
+points='"point": "[^"]*", "system": "[^"]*", "cycles": [0-9]*'
+grep -o "$points" /tmp/fig3_mesh256.json >/tmp/fig3_mesh256_got.txt
+grep -o "$points" results/BENCH_figure3_256_mesh.json >/tmp/fig3_mesh256_want.txt
+if [ ! -s /tmp/fig3_mesh256_want.txt ] \
+    || ! cmp -s /tmp/fig3_mesh256_want.txt /tmp/fig3_mesh256_got.txt; then
+    echo "FAIL: 256-node mesh cycles differ from results/BENCH_figure3_256_mesh.json:"
+    diff /tmp/fig3_mesh256_want.txt /tmp/fig3_mesh256_got.txt || true
+    exit 1
+fi
+echo "    cycles of $(wc -l </tmp/fig3_mesh256_got.txt) points match the snapshot"
 new_bpn=$(grep -o '"bytes_per_node": [0-9]*' /tmp/fig3_mesh256.json \
     | head -1 | tr -dc 0-9)
 old_bpn=$(grep -o '"bytes_per_node": [0-9]*' results/BENCH_figure3_256_mesh.json \
@@ -122,7 +134,8 @@ if [ "$new_bpn" -gt $((old_bpn * 2)) ]; then
     exit 1
 fi
 echo "    bytes/node $new_bpn (snapshot $old_bpn, guard 2x)"
-rm -f /tmp/fig3_mesh256.json /tmp/fig3_mesh256_a.txt /tmp/fig3_mesh256_b.txt
+rm -f /tmp/fig3_mesh256.json /tmp/fig3_mesh256_a.txt /tmp/fig3_mesh256_b.txt \
+    /tmp/fig3_mesh256_got.txt /tmp/fig3_mesh256_want.txt
 
 echo "==> examples build"
 cargo build --release --examples

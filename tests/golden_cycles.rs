@@ -1,8 +1,8 @@
 //! Golden cycle tables for the fault-free paths: every Figure 3 bar and
 //! every Figure 4 EM3D point at smoke scale on 8 nodes, one kv_bench
-//! point per server variant, and a 16-node routed mesh point on both
-//! machines. Together they cover the event queue's same-cycle order,
-//! the barrier release, both machines' drivers and the network's
+//! point per server variant, and 16-node routed mesh and fat-tree points
+//! on both machines. Together they cover the event queue's same-cycle
+//! order, the barrier release, both machines' drivers and the network's
 //! route/link model, so a host-side refactor that moves one cycle fails
 //! here under `cargo test -q`.
 //!
@@ -167,12 +167,12 @@ fn kv_update_matches_golden() {
     assert_eq!(kv_point(KvVariant::Update), (138268, 7808, 7296));
 }
 
-/// EM3D on a 16-node 2-D mesh: hop-count latencies and per-link
-/// occupancy on both machines. `(typhoon, dirnnb)` cycles.
-#[test]
-fn mesh16_em3d_matches_golden() {
+/// EM3D Small on 16 nodes over a routed `topology`: hop-count
+/// latencies and per-link occupancy on both machines. `(typhoon,
+/// dirnnb)` cycles.
+fn routed16_em3d(topology: Topology) -> (u64, u64) {
     let mut cfg = bench_config(16);
-    cfg.topology = Topology::Mesh2D { width: 0 };
+    cfg.topology = topology;
     let run = |system: System| {
         let app = build_app(
             AppId::Em3d,
@@ -183,9 +183,19 @@ fn mesh16_em3d_matches_golden() {
         );
         run_system(system, &cfg, app).cycles.raw()
     };
+    (run(System::TyphoonStache), run(System::Dirnnb))
+}
+
+#[test]
+fn mesh16_em3d_matches_golden() {
+    assert_eq!(routed16_em3d(Topology::Mesh2D { width: 0 }), (89851, 56771));
+}
+
+#[test]
+fn fat_tree16_em3d_matches_golden() {
     assert_eq!(
-        (run(System::TyphoonStache), run(System::Dirnnb)),
-        (89851, 56771)
+        routed16_em3d(Topology::FatTree { arity: 4 }),
+        (91198, 58520)
     );
 }
 
