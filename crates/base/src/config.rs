@@ -42,8 +42,9 @@ pub struct TimingConfig {
     /// One-way network latency between any two nodes.
     pub network_latency: Cycles,
     /// Cycles each packet occupies its sender's injection port. The
-    /// paper models no contention (0); nonzero values serialize senders
-    /// for the contention-sensitivity ablation.
+    /// paper models no contention (0); nonzero values serialize Typhoon
+    /// senders for the contention-sensitivity ablation (DirNNB's cost
+    /// tables abstract injection, so it ignores this).
     pub network_occupancy: Cycles,
     /// Latency of the hardware barrier once the last processor arrives.
     pub barrier_latency: Cycles,

@@ -83,7 +83,7 @@ fn main() {
         fault_permille: 0,
     };
     let parsed = cli::parse_cli_with(&args, 1, &mut |flag, args, i| {
-        let n = || cli::number(args, *i, flag);
+        let n = || cli::number::<usize>(args, *i, flag);
         match flag {
             "--keys" => kv.keys = n()? as u64,
             "--requests" => kv.requests_per_node = n()? as u64,

@@ -8,10 +8,13 @@
 //! tt-check kv [--seeds N] [--base B] [--seed S] [--topology T] [--faults] [--fault-seed F]
 //! ```
 //!
+//! Every command is a thin call into `tt_check`'s one engine: `run` and
+//! `replay` drive [`Family::Litmus`], `kv` drives [`Family::Kv`].
+//!
 //! `run` fuzzes `N` consecutive seeds (litmus workloads × schedule
-//! perturbations, differential across both machines) and exits non-zero
-//! on the first failure, printing the seed so `tt-check replay --seed S`
-//! reproduces it bit-exactly.
+//! perturbations, differential across both machines), shrinks the first
+//! failure and exits non-zero on it, printing the seed so
+//! `tt-check replay --seed S` reproduces it bit-exactly.
 //! `--topology ideal|mesh[:W]|fat-tree[:A]` forces the interconnect of
 //! the Typhoon legs instead of each seed's draw; the DirNNB reference
 //! leg always runs the ideal pipe, so mesh cases are checked against a
@@ -32,353 +35,205 @@
 //! differential (Stache-served Typhoon, write-update-served Typhoon,
 //! DirNNB) whose final images must agree word-for-word with each other
 //! and the generator's prediction. `--seed S` replays one seed.
+//!
+//! Bad input prints `error: …` and the usage text and exits 2.
 
-use std::io::Write as _;
 use std::time::Instant;
 
-use tt_base::{NodeId, Topology};
-use tt_bench::json::{git_rev, hostname};
-use tt_check::scenarios::SkipInvalidate;
-use tt_check::{
-    fuzz_kv_with_options, fuzz_with_options, run_kv_seed_with_options, run_seed_with_options,
-    shrink_with_transport, stache_factory, Failure, FuzzOptions,
-};
-use tt_stache::ReliableConfig;
+use tt_bench::cli::{self, CliError};
+use tt_bench::json::{escape, git_rev, hostname};
+use tt_check::{fuzz, run_seed, shrink, Failure, Family, FuzzOptions};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tt-check run [--seeds N] [--base B] \
-         [--topology ideal|mesh[:W]|fat-tree[:A]] \
-         [--faults] [--fault-seed F] \
-         [--planted-bug] [--out PATH]\n\
-         \x20      tt-check replay --seed S [--topology T] [--faults] [--fault-seed F]\n\
-         \x20      tt-check kv [--seeds N] [--base B] [--seed S] \
-         [--topology T] [--faults] [--fault-seed F]\n\
-         \n\
-         --faults draws a seed-derived lossy-network schedule per case \
-         (drops, duplicates,\n\
-         detected corruption, transient partitions) and runs the protocol \
-         behind the\n\
-         reliable transport; --fault-seed F forces one fault schedule \
-         (implies --faults).\n\
-         With --faults, --planted-bug plants the transport bug \
-         (retransmission without\n\
-         duplicate suppression) instead of the Stache one."
-    );
-    std::process::exit(2);
+const USAGE: &str = "tt-check run [--seeds N] [--base B] \
+     [--topology ideal|mesh[:W]|fat-tree[:A]] \
+     [--faults] [--fault-seed F] \
+     [--planted-bug] [--out PATH]\n\
+     \x20      tt-check replay --seed S [--topology T] [--faults] [--fault-seed F]\n\
+     \x20      tt-check kv [--seeds N] [--base B] [--seed S] \
+     [--topology T] [--faults] [--fault-seed F]\n\
+     \n\
+     --faults draws a seed-derived lossy-network schedule per case \
+     (drops, duplicates,\n\
+     detected corruption, transient partitions) and runs the protocol \
+     behind the\n\
+     reliable transport; --fault-seed F forces one fault schedule \
+     (implies --faults).\n\
+     With --faults, --planted-bug plants the transport bug \
+     (retransmission without\n\
+     duplicate suppression) instead of the Stache one.";
+
+/// The flags each command accepts.
+const RUN_FLAGS: &[&str] =
+    &["--seeds", "--base", "--topology", "--faults", "--fault-seed", "--planted-bug", "--out"];
+const REPLAY_FLAGS: &[&str] = &["--seed", "--topology", "--faults", "--fault-seed"];
+const KV_FLAGS: &[&str] = &["--seeds", "--base", "--seed", "--topology", "--faults", "--fault-seed"];
+
+/// One command's parsed flags.
+struct Args {
+    seeds: u64,
+    base: u64,
+    seed: Option<u64>,
+    options: FuzzOptions,
+    out: Option<String>,
 }
 
-fn parse_topology(args: &[String], i: &mut usize) -> Topology {
-    *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("tt-check: --topology needs `ideal`, `mesh[:W]`, or `fat-tree[:A]`");
-            usage()
-        })
-}
-
-fn parse_u64(args: &[String], i: &mut usize, flag: &str) -> u64 {
-    *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("tt-check: {flag} needs an integer argument");
-            usage()
-        })
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Parses a command's flags; a flag outside `accepted` is an unknown
+/// argument.
+fn parse(args: &[String], accepted: &[&str], seeds: u64) -> Result<Args, CliError> {
+    let mut a = Args { seeds, base: 0, seed: None, options: FuzzOptions::default(), out: None };
+    let mut i = 0;
+    while i < args.len() {
+        let flag = args[i].as_str();
+        if flag == "--help" || flag == "-h" {
+            return Err(CliError::Help);
         }
+        if !accepted.contains(&flag) {
+            return Err(cli::unknown(flag));
+        }
+        match flag {
+            "--faults" => a.options.faults = true,
+            "--planted-bug" => a.options.planted_bug = true,
+            "--seeds" => a.seeds = cli::number(args, i, flag)?,
+            "--base" => a.base = cli::number(args, i, flag)?,
+            "--seed" => a.seed = Some(cli::number(args, i, flag)?),
+            "--fault-seed" => a.options.fault_seed = Some(cli::number(args, i, flag)?),
+            "--topology" => a.options.topology = Some(cli::topology(args, i)?),
+            _ => a.out = Some(cli::value(args, i, flag)?.to_string()),
+        }
+        i += if matches!(flag, "--faults" | "--planted-bug") { 1 } else { 2 };
     }
-    out
+    Ok(a)
+}
+
+/// How a family names itself on stdout: its seed prefix, the machines a
+/// clean sweep ran on, and the command that replays one of its seeds.
+fn words(family: Family) -> (&'static str, &'static str, &'static str) {
+    match family {
+        Family::Litmus => ("", "both machines", "replay"),
+        Family::Kv => ("kv ", "all three machines", "kv"),
+    }
+}
+
+/// A JSON object, one `"key": value` per line, closing at `indent`.
+fn object(indent: &str, fields: &[(&str, String)]) -> String {
+    let body: Vec<String> =
+        fields.iter().map(|(k, v)| format!("{indent}  \"{k}\": {v}")).collect();
+    format!("{{\n{}\n{indent}}}", body.join(",\n"))
+}
+
+/// A JSON object on one line.
+fn inline<V: ToString>(fields: &[(&str, V)]) -> String {
+    let body: Vec<String> =
+        fields.iter().map(|(k, v)| format!("\"{k}\": {}", v.to_string())).collect();
+    format!("{{{}}}", body.join(", "))
 }
 
 fn fault_json(fault: &Option<tt_base::FaultSpec>) -> String {
-    match fault {
-        Some(fs) => format!(
-            "{{\"seed\": {}, \"drop_permille\": {}, \"dup_permille\": {}, \
-             \"corrupt_permille\": {}, \"partition_permille\": {}}}",
-            fs.seed, fs.drop_permille, fs.dup_permille, fs.corrupt_permille, fs.partition_permille
-        ),
-        None => "null".to_string(),
-    }
+    fault.map_or("null".into(), |fs| {
+        inline(&[
+            ("seed", fs.seed),
+            ("drop_permille", fs.drop_permille.into()),
+            ("dup_permille", fs.dup_permille.into()),
+            ("corrupt_permille", fs.corrupt_permille.into()),
+            ("partition_permille", fs.partition_permille.into()),
+        ])
+    })
 }
 
 fn failure_json(f: &Failure) -> String {
-    let shrunk = match &f.shrunk {
-        Some(s) => format!(
-            "{{\"nodes\": {}, \"pages\": {}, \"blocks\": {}, \"phases\": {}}}",
-            s.nodes, s.pages, s.blocks, s.phases
+    let mut fields = vec![("seed", f.seed.to_string()), ("stage", escape(f.stage))];
+    fields.extend(f.shape.fields().into_iter().map(|(k, v)| (k, v.to_string())));
+    fields.extend([
+        ("fault", fault_json(&f.perturb.fault)),
+        ("message", escape(&f.message)),
+        ("shrunk", f.shrunk.as_ref().map_or("null".into(), |s| inline(&s.fields()))),
+        (
+            "shrunk_fault",
+            f.shrunk_perturb.as_ref().map_or("null".into(), |p| fault_json(&p.fault)),
         ),
-        None => "null".to_string(),
-    };
-    let shrunk_fault = match &f.shrunk_perturb {
-        Some(p) => fault_json(&p.fault),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n    \"seed\": {},\n    \"stage\": \"{}\",\n    \"nodes\": {},\n    \
-         \"pages\": {},\n    \"blocks\": {},\n    \"phases\": {},\n    \
-         \"fault\": {},\n    \"message\": \"{}\",\n    \"shrunk\": {},\n    \
-         \"shrunk_fault\": {}\n  }}",
-        f.seed,
-        f.stage,
-        f.cfg.nodes,
-        f.cfg.pages,
-        f.cfg.blocks,
-        f.cfg.phases,
-        fault_json(&f.perturb.fault),
-        json_escape(&f.message),
-        shrunk,
-        shrunk_fault
-    )
+    ]);
+    object("  ", &fields)
 }
 
-#[allow(clippy::too_many_arguments)] // report plumbing, one call site per command
-fn write_fuzz_report(
-    path: &str,
-    base: u64,
-    requested: u64,
-    seeds_run: u64,
-    planted: bool,
-    options: &FuzzOptions,
-    wall: f64,
-    failure: Option<&Failure>,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"tt-check\",\n");
-    out.push_str(&format!("  \"git_rev\": \"{}\",\n", json_escape(&git_rev())));
-    out.push_str(&format!("  \"hostname\": \"{}\",\n", json_escape(&hostname())));
-    out.push_str(&format!("  \"base_seed\": {base},\n"));
-    out.push_str(&format!("  \"seeds_requested\": {requested},\n"));
-    out.push_str(&format!("  \"seeds_run\": {seeds_run},\n"));
-    out.push_str(&format!("  \"planted_bug\": {planted},\n"));
-    out.push_str(&format!("  \"faults\": {},\n", options.faults || options.fault_seed.is_some()));
-    out.push_str(&format!(
-        "  \"fault_seed\": {},\n",
-        options.fault_seed.map_or("null".to_string(), |f| f.to_string())
-    ));
-    out.push_str(&format!("  \"wall_secs\": {wall:.3},\n"));
-    out.push_str(&format!("  \"clean\": {},\n", failure.is_none()));
-    match failure {
-        Some(f) => out.push_str(&format!("  \"failure\": {}\n", failure_json(f))),
-        None => out.push_str("  \"failure\": null\n"),
-    }
-    out.push_str("}\n");
+fn write_report(path: &str, a: &Args, seeds_run: u64, wall: f64, failure: Option<&Failure>) {
+    let o = &a.options;
+    let report = object(
+        "",
+        &[
+            ("tool", escape("tt-check")),
+            ("git_rev", escape(&git_rev())),
+            ("hostname", escape(&hostname())),
+            ("base_seed", a.base.to_string()),
+            ("seeds_requested", a.seeds.to_string()),
+            ("seeds_run", seeds_run.to_string()),
+            ("planted_bug", o.planted_bug.to_string()),
+            ("faults", (o.faults || o.fault_seed.is_some()).to_string()),
+            ("fault_seed", o.fault_seed.map_or("null".into(), |f| f.to_string())),
+            ("wall_secs", format!("{wall:.3}")),
+            ("clean", failure.is_none().to_string()),
+            ("failure", failure.map_or("null".into(), failure_json)),
+        ],
+    );
     if let Some(dir) = std::path::Path::new(path).parent() {
         if !dir.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(dir);
         }
     }
-    let mut file = std::fs::File::create(path).expect("create report file");
-    file.write_all(out.as_bytes()).expect("write report");
+    std::fs::write(path, report + "\n").expect("write report");
     eprintln!("tt-check: report written to {path}");
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let mut seeds: u64 = 500;
-    let mut base: u64 = 0;
-    let mut options = FuzzOptions::default();
-    let mut planted = false;
-    let mut out_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => seeds = parse_u64(args, &mut i, "--seeds"),
-            "--base" => base = parse_u64(args, &mut i, "--base"),
-            "--topology" => options.topology = Some(parse_topology(args, &mut i)),
-            "--faults" => options.faults = true,
-            "--fault-seed" => {
-                options.fault_seed = Some(parse_u64(args, &mut i, "--fault-seed"));
-                options.faults = true;
-            }
-            "--planted-bug" => planted = true,
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-
-    // With faults, the planted bug is the transport-level one — the
-    // retry path ships without duplicate suppression, so a retransmit
-    // whose original arrived replays into the protocol. Without faults
-    // it stays the classic Stache skip-invalidate.
-    let plant_transport = planted && options.faults;
-    if plant_transport {
-        options.transport = Some(ReliableConfig { dedupe: false, ..ReliableConfig::default() });
-    }
-    let planted_factory = |id: NodeId, layout: &_, cfg: &_| {
-        Box::new(SkipInvalidate::new(id, layout, cfg)) as Box<dyn tt_tempest::Protocol>
-    };
+/// Fuzzes `a.seeds` seeds of `family`, shrinking the first failure.
+fn cmd_fuzz(family: Family, a: &Args) -> i32 {
+    let (tag, machines, replay) = words(family);
     let start = Instant::now();
-    let report = if planted && !plant_transport {
-        fuzz_with_options(base, seeds, &options, &planted_factory)
-    } else {
-        fuzz_with_options(base, seeds, &options, &stache_factory)
-    };
-    let transport = options.transport_config();
+    let report = fuzz(family, a.base, a.seeds, &a.options);
     let failure = report.failure.map(|f| {
         eprintln!("tt-check: shrinking failing seed {}...", f.seed);
-        if planted && !plant_transport {
-            shrink_with_transport(&f, &planted_factory, &transport)
-        } else {
-            shrink_with_transport(&f, &stache_factory, &transport)
-        }
+        shrink(&f, &a.options)
     });
     let wall = start.elapsed().as_secs_f64();
-
-    if let Some(path) = &out_path {
-        write_fuzz_report(
-            path,
-            base,
-            seeds,
-            report.seeds_run,
-            planted,
-            &options,
-            wall,
-            failure.as_ref(),
-        );
+    if let Some(path) = &a.out {
+        write_report(path, a, report.seeds_run, wall, failure.as_ref());
     }
-    match (planted, failure) {
+    let n = report.seeds_run;
+    match (a.options.planted_bug, failure) {
         (false, None) => {
             println!(
-                "tt-check: {} seeds clean on both machines in {wall:.1}s (base {base})",
-                report.seeds_run
+                "tt-check: {n} {tag}seeds clean on {machines} in {wall:.1}s (base {})",
+                a.base
             );
             0
         }
         (false, Some(f)) => {
-            println!("tt-check: FAILURE after {} seeds in {wall:.1}s", report.seeds_run);
+            println!("tt-check: {tag}FAILURE after {n} seeds in {wall:.1}s");
             println!("  {f}");
-            println!("  reproduce with: tt-check replay --seed {}", f.seed);
+            println!("  reproduce with: tt-check {replay} --seed {}", f.seed);
             1
         }
         (true, Some(f)) => {
-            println!(
-                "tt-check: planted bug caught after {} seeds in {wall:.1}s (expected)",
-                report.seeds_run
-            );
+            println!("tt-check: planted bug caught after {n} seeds in {wall:.1}s (expected)");
             println!("  {f}");
             0
         }
         (true, None) => {
-            println!(
-                "tt-check: planted bug survived {} seeds — the harness is blind!",
-                report.seeds_run
-            );
+            println!("tt-check: planted bug survived {n} seeds — the harness is blind!");
             1
         }
     }
 }
 
-fn cmd_replay(args: &[String]) -> i32 {
-    let mut seed: Option<u64> = None;
-    let mut options = FuzzOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => seed = Some(parse_u64(args, &mut i, "--seed")),
-            "--topology" => options.topology = Some(parse_topology(args, &mut i)),
-            "--faults" => options.faults = true,
-            "--fault-seed" => {
-                options.fault_seed = Some(parse_u64(args, &mut i, "--fault-seed"));
-                options.faults = true;
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let seed = seed.unwrap_or_else(|| usage());
-    match run_seed_with_options(seed, &options) {
+/// Reruns one seed of `family` bit-exactly.
+fn cmd_replay(family: Family, seed: u64, options: &FuzzOptions) -> i32 {
+    let (tag, _, _) = words(family);
+    match run_seed(family, seed, options) {
         Ok(r) => {
-            println!(
-                "tt-check: seed {seed} clean — typhoon {} cycles, dirnnb {} cycles, \
-                 {} events observed",
-                r.typhoon_cycles, r.dirnnb_cycles, r.events
-            );
+            println!("tt-check: {tag}seed {seed} clean — {r}");
             0
         }
         Err(f) => {
-            println!("tt-check: seed {seed} FAILS");
+            println!("tt-check: {tag}seed {seed} FAILS");
             println!("  {f}");
-            1
-        }
-    }
-}
-
-/// `tt-check kv`: the KV-serving litmus family. Fuzzes `--seeds`
-/// consecutive seeds through the three-machine differential
-/// (Stache-served, write-update-served, DirNNB); `--seed S` replays one
-/// seed instead.
-fn cmd_kv(args: &[String]) -> i32 {
-    let mut seeds: u64 = 200;
-    let mut base: u64 = 0;
-    let mut replay: Option<u64> = None;
-    let mut options = FuzzOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => seeds = parse_u64(args, &mut i, "--seeds"),
-            "--base" => base = parse_u64(args, &mut i, "--base"),
-            "--seed" => replay = Some(parse_u64(args, &mut i, "--seed")),
-            "--topology" => options.topology = Some(parse_topology(args, &mut i)),
-            "--faults" => options.faults = true,
-            "--fault-seed" => {
-                options.fault_seed = Some(parse_u64(args, &mut i, "--fault-seed"));
-                options.faults = true;
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-
-    if let Some(seed) = replay {
-        return match run_kv_seed_with_options(seed, &options) {
-            Ok(r) => {
-                println!(
-                    "tt-check: kv seed {seed} clean — stache {} cycles, update {} cycles, \
-                     dirnnb {} cycles, {} events observed",
-                    r.stache_cycles, r.update_cycles, r.dirnnb_cycles, r.events
-                );
-                0
-            }
-            Err(f) => {
-                println!("tt-check: kv seed {seed} FAILS");
-                println!("  {f}");
-                1
-            }
-        };
-    }
-
-    let start = Instant::now();
-    let report = fuzz_kv_with_options(base, seeds, &options);
-    let wall = start.elapsed().as_secs_f64();
-    match report.failure {
-        None => {
-            println!(
-                "tt-check: {} kv seeds clean on all three machines in {wall:.1}s (base {base})",
-                report.seeds_run
-            );
-            0
-        }
-        Some(f) => {
-            println!("tt-check: kv FAILURE after {} seeds in {wall:.1}s", report.seeds_run);
-            println!("  {f}");
-            println!("  reproduce with: tt-check kv --seed {}", f.seed);
             1
         }
     }
@@ -386,11 +241,25 @@ fn cmd_kv(args: &[String]) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("kv") => cmd_kv(&args[1..]),
-        _ => usage(),
+    let command = args.first().map(String::as_str);
+    let (family, accepted, seeds) = cli::or_exit(
+        match command {
+            Some("run") => Ok((Family::Litmus, RUN_FLAGS, 500)),
+            Some("replay") => Ok((Family::Litmus, REPLAY_FLAGS, 0)),
+            Some("kv") => Ok((Family::Kv, KV_FLAGS, 200)),
+            Some("--help" | "-h") => Err(CliError::Help),
+            Some(other) => Err(CliError::Bad(format!("unknown command {other}"))),
+            None => Err(CliError::Bad("missing command".into())),
+        },
+        USAGE,
+    );
+    let a = cli::or_exit(parse(&args[1..], accepted, seeds), USAGE);
+    if command == Some("replay") && a.seed.is_none() {
+        cli::or_exit::<()>(Err(CliError::Bad("replay requires --seed S".into())), USAGE);
+    }
+    let code = match a.seed {
+        Some(seed) => cmd_replay(family, seed, &a.options),
+        None => cmd_fuzz(family, &a),
     };
     std::process::exit(code);
 }

@@ -141,13 +141,11 @@ pub fn parse_cli_with(
                 i += 2;
             }
             "--repeat" => {
-                cli.repeat = number(args, i, "--repeat")?.max(1);
+                cli.repeat = number::<usize>(args, i, "--repeat")?.max(1);
                 i += 2;
             }
             "--topology" => {
-                cli.topology = value(args, i, "--topology")?
-                    .parse()
-                    .map_err(|e| CliError::Bad(format!("--topology: {e}")))?;
+                cli.topology = topology(args, i)?;
                 i += 2;
             }
             "--json" => {
@@ -175,8 +173,19 @@ pub fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, Cl
         .ok_or_else(|| CliError::Bad(format!("{flag} requires a value")))
 }
 
+/// The `--topology ideal|mesh[:W]|fat-tree[:A]` value following flag
+/// position `i`.
+pub fn topology(args: &[String], i: usize) -> Result<Topology, CliError> {
+    value(args, i, "--topology")?
+        .parse()
+        .map_err(|e| CliError::Bad(format!("--topology: {e}")))
+}
+
 /// The numeric value following flag position `i`.
-pub fn number(args: &[String], i: usize, flag: &str) -> Result<usize, CliError> {
+pub fn number<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
     value(args, i, flag)?
         .parse()
         .map_err(|e| CliError::Bad(format!("{flag} N: {e}")))

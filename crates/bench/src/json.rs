@@ -104,7 +104,7 @@ pub fn hostname() -> String {
 }
 
 /// JSON string literal with the required escapes.
-fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -278,20 +278,9 @@ pub const FIGURE3_POINTS: [(DataSet, usize); 5] = [
     (DataSet::Large, 256 * 1024),
 ];
 
-/// Measures one Figure 3 bar.
+/// Measures one Figure 3 bar, with min-of-`repeat` wall timings (cycles
+/// are asserted identical across repeats).
 pub fn figure3_point(
-    app: AppId,
-    set: DataSet,
-    cache_bytes: usize,
-    scale: usize,
-    cfg_base: &SystemConfig,
-) -> Figure3Point {
-    figure3_point_min(app, set, cache_bytes, scale, cfg_base, 1)
-}
-
-/// [`figure3_point`] with min-of-`repeat` wall timings (cycles are
-/// asserted identical across repeats).
-pub fn figure3_point_min(
     app: AppId,
     set: DataSet,
     cache_bytes: usize,
@@ -318,30 +307,13 @@ pub fn figure3_point_min(
     }
 }
 
-/// Runs the whole Figure 3 grid — every application at every data-set /
-/// cache-size point — fanning independent points across `jobs` threads
-/// (see [`par::run_indexed`]; any `jobs` yields identical results).
-/// Points are returned app-major in `AppId::ALL` × [`FIGURE3_POINTS`]
-/// order.
-pub fn figure3_sweep(scale: usize, cfg: &SystemConfig, jobs: usize) -> Vec<Figure3Point> {
-    figure3_sweep_min(scale, cfg, jobs, 1)
-}
-
-/// [`figure3_sweep`] with min-of-`repeat` wall timings per point.
-pub fn figure3_sweep_min(
-    scale: usize,
-    cfg: &SystemConfig,
-    jobs: usize,
-    repeat: usize,
-) -> Vec<Figure3Point> {
-    figure3_sweep_apps(&AppId::ALL, scale, cfg, jobs, repeat)
-}
-
-/// [`figure3_sweep_min`] over a subset of the applications — the
-/// big-machine sweeps (`--nodes 256|1024`) run a single app to stay
-/// within the container's single-CPU budget. Points come back app-major
-/// in the order given.
-pub fn figure3_sweep_apps(
+/// Runs the Figure 3 grid for `apps` (`&AppId::ALL` for the whole
+/// figure; the big-machine sweeps at `--nodes 256|1024` run one app) at
+/// every data-set / cache-size point, with min-of-`repeat` wall timings
+/// per point. Independent points fan out across `jobs` threads (see
+/// [`par::run_indexed`]; any `jobs` yields identical results). Points
+/// come back app-major in the order given × [`FIGURE3_POINTS`].
+pub fn figure3_sweep(
     apps: &[AppId],
     scale: usize,
     cfg: &SystemConfig,
@@ -355,7 +327,7 @@ pub fn figure3_sweep_apps(
         .collect();
     par::run_indexed(jobs, grid.len(), |i| {
         let (app, set, cache) = grid[i];
-        figure3_point_min(app, set, cache, scale, cfg, repeat)
+        figure3_point(app, set, cache, scale, cfg, repeat)
     })
 }
 
@@ -378,14 +350,10 @@ pub struct Figure4Point {
 pub const FIGURE4_SYSTEMS: [System; 3] =
     [System::Dirnnb, System::TyphoonStache, System::TyphoonUpdate];
 
-/// Measures one Figure 4 x-axis point (all three curves).
-pub fn figure4_point(pct_remote: f64, scale: usize, cfg: &SystemConfig) -> Figure4Point {
-    figure4_point_min(pct_remote, scale, cfg, 1)
-}
-
-/// [`figure4_point`] with min-of-`repeat` wall timings (cycles are
-/// asserted identical across repeats).
-pub fn figure4_point_min(
+/// Measures one Figure 4 x-axis point (all three curves), with
+/// min-of-`repeat` wall timings (cycles are asserted identical across
+/// repeats).
+pub fn figure4_point(
     pct_remote: f64,
     scale: usize,
     cfg: &SystemConfig,
@@ -438,20 +406,16 @@ pub fn figure4_point_min(
 pub const FIGURE4_PCTS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 
 /// Runs the whole Figure 4 sweep across `jobs` threads (results are
-/// identical for any `jobs`; see [`par::run_indexed`]).
-pub fn figure4_sweep(scale: usize, cfg: &SystemConfig, jobs: usize) -> Vec<Figure4Point> {
-    figure4_sweep_min(scale, cfg, jobs, 1)
-}
-
-/// [`figure4_sweep`] with min-of-`repeat` wall timings per point.
-pub fn figure4_sweep_min(
+/// identical for any `jobs`; see [`par::run_indexed`]), with
+/// min-of-`repeat` wall timings per point.
+pub fn figure4_sweep(
     scale: usize,
     cfg: &SystemConfig,
     jobs: usize,
     repeat: usize,
 ) -> Vec<Figure4Point> {
     par::run_indexed(jobs, FIGURE4_PCTS.len(), |i| {
-        figure4_point_min(FIGURE4_PCTS[i], scale, cfg, repeat)
+        figure4_point(FIGURE4_PCTS[i], scale, cfg, repeat)
     })
 }
 
@@ -480,7 +444,7 @@ mod tests {
     #[test]
     fn figure3_smoke_point_is_sane() {
         let cfg = bench_config(smoke::NODES);
-        let p = figure3_point(AppId::Em3d, DataSet::Small, 4 * 1024, smoke::SCALE, &cfg);
+        let p = figure3_point(AppId::Em3d, DataSet::Small, 4 * 1024, smoke::SCALE, &cfg, 1);
         let rel = p.relative();
         assert!(rel > 0.2 && rel < 3.0, "relative time {rel}");
     }
@@ -488,7 +452,7 @@ mod tests {
     #[test]
     fn figure4_smoke_point_orders_systems_at_high_remote() {
         let cfg = bench_config(smoke::NODES);
-        let p = figure4_point(0.5, smoke::SCALE, &cfg);
+        let p = figure4_point(0.5, smoke::SCALE, &cfg, 1);
         let [dirnnb, stache, update] = p.cycles_per_edge;
         assert!(update < dirnnb, "update {update} should beat DirNNB {dirnnb}");
         assert!(update < stache, "update {update} should beat Stache {stache}");

@@ -1,6 +1,7 @@
 //! Bad command lines get a usage message and exit status 2, never a
-//! panic: every harness binary is run as a subprocess on `--help`, an
-//! unknown flag, a flag missing its value and a malformed value.
+//! panic: every harness binary (and `tt-check`) is run as a subprocess
+//! on `--help`, an unknown flag, a flag missing its value and a
+//! malformed value.
 
 use std::process::{Command, Output};
 
@@ -15,9 +16,15 @@ fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe).args(args).output().expect("binary runs")
 }
 
-/// Asserts a usage exit: status 2, nothing on stdout, usage (and
-/// `error`, if given) on stderr, no panic.
+/// Asserts a usage exit: status 2, nothing on stdout, usage listing the
+/// shared sweep flags (and `error`, if given) on stderr, no panic.
 fn assert_usage_exit(name: &str, out: &Output, error: Option<&str>) {
+    assert_usage_listing(name, out, error, "--nodes N");
+}
+
+/// [`assert_usage_exit`] for a binary whose usage lists `flag` instead
+/// of the shared sweep flags.
+fn assert_usage_listing(name: &str, out: &Output, error: Option<&str>, flag: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
     assert!(out.stdout.is_empty(), "{name}: usage errors print no table");
@@ -26,10 +33,7 @@ fn assert_usage_exit(name: &str, out: &Output, error: Option<&str>) {
         stderr.contains(&format!("usage: {name} ")),
         "{name}: {stderr}"
     );
-    assert!(
-        stderr.contains("--nodes N"),
-        "{name}: shared flags listed: {stderr}"
-    );
+    assert!(stderr.contains(flag), "{name}: {flag} listed: {stderr}");
     match error {
         Some(e) => assert!(stderr.contains(&format!("error: {e}")), "{name}: {stderr}"),
         None => assert!(!stderr.contains("error:"), "{name}: {stderr}"),
@@ -82,4 +86,27 @@ fn binary_specific_flags_are_checked_too() {
         &run(kv_bench, &["--keys"]),
         Some("--keys requires a value"),
     );
+}
+
+#[test]
+fn tt_check_bad_input_prints_error_and_usage_and_exits_2() {
+    let exe = env!("CARGO_BIN_EXE_tt-check");
+    let usage = |args: &[&str], error| {
+        assert_usage_listing("tt-check", &run(exe, args), error, "--seeds N");
+    };
+    usage(&["--help"], None);
+    usage(&["run", "--seeds", "5", "-h"], None);
+    let cases: [(&[&str], &str); 7] = [
+        (&["--bogus"], "unknown command --bogus"),
+        (&["frobnicate"], "unknown command frobnicate"),
+        (&["run", "--seeds"], "--seeds requires a value"),
+        (&["run", "--seeds", "abc"], "--seeds N"),
+        (&["run", "--topology", "fat-tree:1"], "--topology: fat-tree arity"),
+        (&["replay"], "replay requires --seed S"),
+        // Each command takes only its own flags.
+        (&["replay", "--seeds", "3"], "unknown argument --seeds"),
+    ];
+    for (args, error) in cases {
+        usage(args, Some(error));
+    }
 }

@@ -5,6 +5,7 @@
 //! app × cache point) and the figure 4 sweep (which adds Typhoon/Update
 //! and flush synchronization).
 
+use tt_apps::AppId;
 use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke};
 
 #[test]
@@ -13,8 +14,8 @@ fn figure3_sweep_is_identical_with_direct_execution_off() {
     let mut off = bench_config(smoke::NODES);
     off.direct_execution = false;
     assert!(on.direct_execution, "direct execution defaults on");
-    let fast = figure3_sweep(smoke::SCALE, &on, 4);
-    let slow = figure3_sweep(smoke::SCALE, &off, 4);
+    let fast = figure3_sweep(&AppId::ALL, smoke::SCALE, &on, 4, 1);
+    let slow = figure3_sweep(&AppId::ALL, smoke::SCALE, &off, 4, 1);
     assert_eq!(fast.len(), slow.len());
     for (f, s) in fast.iter().zip(&slow) {
         assert_eq!(
@@ -35,8 +36,8 @@ fn figure4_sweep_is_identical_with_direct_execution_off() {
     let on = bench_config(smoke::NODES);
     let mut off = bench_config(smoke::NODES);
     off.direct_execution = false;
-    let fast = figure4_sweep(smoke::SCALE, &on, 4);
-    let slow = figure4_sweep(smoke::SCALE, &off, 4);
+    let fast = figure4_sweep(smoke::SCALE, &on, 4, 1);
+    let slow = figure4_sweep(smoke::SCALE, &off, 4, 1);
     assert_eq!(fast.len(), slow.len());
     for (f, s) in fast.iter().zip(&slow) {
         assert_eq!(

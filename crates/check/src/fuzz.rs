@@ -1,38 +1,48 @@
-//! The schedule fuzzer and differential checker.
+//! The fuzz engine: one run / fuzz / replay / shrink path for every
+//! check family.
 //!
-//! One `u64` seed determines everything: the litmus case shape
-//! ([`LitmusConfig::from_seed`]), the scripts ([`Litmus::generate`]),
-//! and the schedule perturbation ([`PerturbConfig::from_seed`]). A
-//! seed's run is therefore bit-exactly reproducible — `replay` is just
-//! `run_seed` again — and a failure report only needs the seed.
+//! One `u64` seed determines everything: the case shape
+//! ([`Family::shape`]), the scripts the shape generates, and the
+//! schedule perturbation ([`FuzzOptions::perturb_for`]). A seed's run is
+//! therefore bit-exactly reproducible — replay is just [`run_seed`]
+//! again — and a failure report only needs the seed.
 //!
-//! Each case runs the workload on **both** machines:
+//! A family supplies three things: its shape (the seed draw, how it is
+//! displayed, and its shape-shrink candidates), its legs and their
+//! scripts, and its predicted final image. The engine does the rest:
+//! it runs each leg under `catch`, extracts the final images, and
+//! holds them against each other and the prediction.
 //!
-//! - `tt-typhoon` with the Stache protocol (or an injected broken one),
-//!   under the invariant engine and the chosen perturbations;
-//! - `tt-dirnnb`, the all-hardware baseline, under the same tie-breaking
-//!   seed.
+//! - [`Family::Litmus`] ([`crate::litmus`]): `tt-typhoon` with the Stache
+//!   protocol under the invariant engine, then `tt-dirnnb`, the
+//!   all-hardware baseline, under the same tie-breaking seed.
+//! - [`Family::Kv`] ([`crate::kvlitmus`]): Typhoon with Stache, Typhoon
+//!   with the KV write-update server, then DirNNB.
 //!
-//! Afterwards the final shared-memory images are extracted and compared
-//! against each other and against the generator's happens-before
-//! prediction. Perturbations only touch *legal* nondeterminism
-//! (same-cycle ordering, latency within the network band, compute
-//! coalescing, direct execution), so any divergence — a panic, an
+//! Perturbations only touch *legal* nondeterminism (same-cycle
+//! ordering, latency within the network band, compute coalescing,
+//! direct execution, lossy-network schedules behind the reliable
+//! transport, routed topologies), so any divergence — a panic, an
 //! invariant trip, or an image mismatch — is a bug.
 
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use tt_base::workload::{Layout, Workload};
+use tt_apps::kv_update::KvUpdateProtocol;
+use tt_base::workload::{coalesce_computes, Layout, Op, ScriptWorkload, Workload};
 use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr};
 use tt_dirnnb::DirnnbMachine;
 use tt_mem::Tag;
+use tt_serve::{KvLayout, SharedKvLatency};
 use tt_stache::{reliable_vn_policy, Reliable, ReliableConfig, StacheProtocol};
 use tt_tempest::Protocol;
 use tt_typhoon::TyphoonMachine;
 
 use crate::invariants::{InvariantChecker, DEFAULT_EVENT_BUDGET};
+use crate::kvlitmus::{KvLitmus, KvLitmusConfig};
 use crate::litmus::{Litmus, LitmusConfig};
+use crate::scenarios::SkipInvalidate;
 
 /// Builds one node's protocol instance (same shape as
 /// [`TyphoonMachine::new`]'s constructor argument).
@@ -103,15 +113,6 @@ impl PerturbConfig {
                 }
             },
         }
-    }
-
-    /// [`PerturbConfig::from_seed`] plus a seed-derived fault schedule:
-    /// the fault-plan seed comes from its own fork so fault decisions
-    /// are independent of every other drawn dimension.
-    pub fn from_seed_with_faults(seed: u64) -> Self {
-        let mut p = PerturbConfig::from_seed(seed);
-        p.fault = Some(FaultSpec::from_seed(DetRng::new(seed).fork(12).next_u64()));
-        p
     }
 
     /// No perturbation at all (production schedule).
@@ -195,10 +196,169 @@ impl PerturbConfig {
         }
         m
     }
+
+    /// One-step-simpler schedules, in the order the shrinker tries
+    /// them: each dimension moved toward the production schedule alone.
+    fn simpler(&self) -> Vec<PerturbConfig> {
+        let mut out = Vec::new();
+        if self.tie_shuffle.is_some() {
+            out.push(PerturbConfig { tie_shuffle: None, ..self.clone() });
+        }
+        if self.jitter_max > 0 {
+            out.push(PerturbConfig { jitter_max: 0, jitter_seed: 0, ..self.clone() });
+        }
+        if self.coalesce {
+            out.push(PerturbConfig { coalesce: false, ..self.clone() });
+        }
+        if self.direct_execution {
+            out.push(PerturbConfig { direct_execution: false, ..self.clone() });
+        }
+        if self.topology != Topology::Ideal {
+            out.push(PerturbConfig { topology: Topology::Ideal, ..self.clone() });
+        }
+        if let Some(fs) = self.fault {
+            for zeroed in [
+                FaultSpec { drop_permille: 0, ..fs },
+                FaultSpec { dup_permille: 0, ..fs },
+                FaultSpec { corrupt_permille: 0, ..fs },
+                FaultSpec { partition_permille: 0, ..fs },
+            ] {
+                if zeroed != fs {
+                    out.push(PerturbConfig { fault: Some(zeroed), ..self.clone() });
+                }
+            }
+            out.push(PerturbConfig { fault: None, ..self.clone() });
+        }
+        out
+    }
+}
+
+/// The stock Stache protocol with the planted bug: an `INV` is
+/// acknowledged without invalidating (see [`SkipInvalidate`]).
+fn skip_invalidate_factory(id: NodeId, layout: &Layout, cfg: &SystemConfig) -> Box<dyn Protocol> {
+    Box::new(SkipInvalidate::new(id, layout, cfg))
+}
+
+/// The check families the engine drives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// Seed-generated litmus cases over contended blocks
+    /// ([`LitmusConfig`]): Typhoon/Stache against DirNNB.
+    Litmus,
+    /// Put/get races over `tt-serve` key slots ([`KvLitmusConfig`]):
+    /// Typhoon/Stache and the write-update server against DirNNB.
+    Kv,
+}
+
+impl Family {
+    /// The case shape this family draws from `seed`.
+    pub fn shape(self, seed: u64) -> Shape {
+        match self {
+            Family::Litmus => Shape::Litmus(LitmusConfig::from_seed(seed)),
+            Family::Kv => Shape::Kv(KvLitmusConfig::from_seed(seed)),
+        }
+    }
+}
+
+/// The shape of one case, in its family's terms.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Shape {
+    /// A [`Family::Litmus`] case.
+    Litmus(LitmusConfig),
+    /// A [`Family::Kv`] case.
+    Kv(KvLitmusConfig),
+}
+
+impl Shape {
+    /// The seed that generated (or, after shrinking, accompanies) the
+    /// case.
+    pub fn seed(&self) -> u64 {
+        match self {
+            Shape::Litmus(c) => c.seed,
+            Shape::Kv(c) => c.seed,
+        }
+    }
+
+    /// The shape's dimensions as `(name, value)` pairs, in display
+    /// order (failure lines and JSON reports).
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
+        match self {
+            Shape::Litmus(c) => c.fields(),
+            Shape::Kv(c) => c.fields(),
+        }
+    }
+
+    /// One-step-smaller shapes, in the order the shrinker tries them.
+    /// KV shapes have none yet: only their schedule shrinks.
+    fn smaller(&self) -> Vec<Shape> {
+        match self {
+            Shape::Litmus(c) => c.smaller().into_iter().map(Shape::Litmus).collect(),
+            Shape::Kv(_) => Vec::new(),
+        }
+    }
+
+    /// Generates the case: deterministic in the shape.
+    fn case(&self) -> Case {
+        match self {
+            Shape::Litmus(c) => Litmus::generate(c).into_case(),
+            Shape::Kv(c) => KvLitmus::generate(c).into_case(),
+        }
+    }
+}
+
+impl fmt::Display for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (name, value)) in self.fields().into_iter().enumerate() {
+            write!(f, "{}{name}={value}", if i == 0 { "" } else { " " })?;
+        }
+        Ok(())
+    }
+}
+
+/// A generated case as the engine runs it: the legs, in run order, and
+/// what their final images must equal.
+pub(crate) struct Case {
+    /// Shared-segment layout of every leg.
+    pub layout: Layout,
+    /// The machine runs.
+    pub legs: Vec<Leg>,
+    /// Block base addresses the invariant engine watches.
+    pub blocks: Vec<VAddr>,
+    /// Predicted final value of every written word.
+    pub finals: Vec<(VAddr, u64)>,
+    /// The failure stage of an image mismatch.
+    pub differential: &'static str,
+    /// Stache frame budget of the Typhoon legs, if the shape caps it.
+    pub stache_capacity_bytes: Option<usize>,
+}
+
+/// One machine run of a case.
+pub(crate) struct Leg {
+    /// The leg's name in image-mismatch messages and [`CaseResult`].
+    pub name: &'static str,
+    /// The failure stage if the run panics.
+    pub stage: &'static str,
+    /// What the scripts run on.
+    pub machine: Machine,
+    /// Per-node op scripts (index = node).
+    pub scripts: Vec<Vec<Op>>,
+}
+
+/// The machine and protocol of a [`Leg`].
+pub(crate) enum Machine {
+    /// Typhoon with Stache (or the planted bug) under the invariant
+    /// engine.
+    Stache,
+    /// Typhoon with the KV write-update server. No invariant engine:
+    /// home ReadWrite alongside sharer ReadOnly copies is this
+    /// protocol's intended tag state and violates SWMR by design.
+    KvUpdate(KvLayout),
+    /// DirNNB, the fault-free, ideal-network reference.
+    Dirnnb,
 }
 
 /// Compact one-line rendering of a fault schedule for failure reports.
-pub(crate) fn fault_summary(f: &FaultSpec) -> String {
+fn fault_summary(f: &FaultSpec) -> String {
     format!(
         "faults[seed={} drop={}‰ dup={}‰ corrupt={}‰ partition={}‰/{}x{}]",
         f.seed,
@@ -211,15 +371,22 @@ pub(crate) fn fault_summary(f: &FaultSpec) -> String {
     )
 }
 
-/// A clean run's vitals.
+/// A clean case's vitals.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CaseResult {
-    /// Typhoon completion time under the perturbation.
-    pub typhoon_cycles: Cycles,
-    /// DirNNB completion time.
-    pub dirnnb_cycles: Cycles,
-    /// Events the invariant engine observed on the Typhoon run.
+    /// Completion time of every leg, in run order, by leg name.
+    pub cycles: Vec<(&'static str, Cycles)>,
+    /// Events the invariant engine observed.
     pub events: u64,
+}
+
+impl fmt::Display for CaseResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (leg, cycles) in &self.cycles {
+            write!(f, "{leg} {cycles} cycles, ")?;
+        }
+        write!(f, "{} events observed", self.events)
+    }
 }
 
 /// A caught failure: which seed, which shape, which stage, and the
@@ -228,29 +395,26 @@ pub struct CaseResult {
 pub struct Failure {
     /// The seed that produced the case.
     pub seed: u64,
-    /// The (possibly hand-built) case shape that failed.
-    pub cfg: LitmusConfig,
+    /// The case shape that failed.
+    pub shape: Shape,
     /// The schedule perturbation in force.
     pub perturb: PerturbConfig,
-    /// Which stage failed: `"typhoon"`, `"dirnnb"`, or `"differential"`.
+    /// Which stage failed: a leg (`"typhoon"`, `"kv-update"`, ...) or
+    /// the image differential (`"differential"`, `"kv-differential"`).
     pub stage: &'static str,
     /// The panic message or mismatch description.
     pub message: String,
     /// A smaller shape that still fails, if [`shrink`] ran.
-    pub shrunk: Option<LitmusConfig>,
+    pub shrunk: Option<Shape>,
     /// A simpler perturbation/fault schedule that still fails, if
     /// [`shrink`] ran: each schedule dimension is delta-debugged toward
     /// the production schedule one at a time.
     pub shrunk_perturb: Option<PerturbConfig>,
 }
 
-impl std::fmt::Display for Failure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "seed {} [{} stage] nodes={} pages={} blocks={} phases={}",
-            self.seed, self.stage, self.cfg.nodes, self.cfg.pages, self.cfg.blocks, self.cfg.phases,
-        )?;
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "seed {} [{} stage] {}", self.seed, self.stage, self.shape)?;
         if let Some(fs) = &self.perturb.fault {
             write!(f, " {}", fault_summary(fs))?;
         }
@@ -259,11 +423,7 @@ impl std::fmt::Display for Failure {
         }
         write!(f, ": {}", self.message)?;
         if let Some(s) = &self.shrunk {
-            write!(
-                f,
-                " (shrunk to nodes={} pages={} blocks={} phases={})",
-                s.nodes, s.pages, s.blocks, s.phases
-            )?;
+            write!(f, " (shrunk to {s})")?;
         }
         if let Some(p) = &self.shrunk_perturb {
             write!(
@@ -292,7 +452,7 @@ static HOOK_LOCK: Mutex<()> = Mutex::new(());
 /// Runs `f`, converting a panic into its message. The default panic
 /// hook is silenced for the duration: the fuzzer *expects* failures and
 /// reports them itself.
-pub(crate) fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     let guard = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
@@ -313,7 +473,7 @@ pub(crate) fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// Reconstructs the word at `addr` from a finished Typhoon machine:
 /// prefer the writable copy (SWMR makes it unique), then any readable
 /// copy, then the home node's memory.
-pub(crate) fn typhoon_word(m: &TyphoonMachine, addr: VAddr) -> u64 {
+fn typhoon_word(m: &TyphoonMachine, addr: VAddr) -> u64 {
     let nodes = m.config().nodes;
     let mut readable = None;
     for n in 0..nodes {
@@ -335,109 +495,8 @@ pub(crate) fn typhoon_word(m: &TyphoonMachine, addr: VAddr) -> u64 {
     m.node_word(home, addr).expect("home page mapped")
 }
 
-/// Runs one case with the stock Stache protocol.
-pub fn run_case(cfg: &LitmusConfig, perturb: &PerturbConfig) -> Result<CaseResult, Box<Failure>> {
-    run_case_with(cfg, perturb, &stache_factory)
-}
-
-/// Runs one case with an injected protocol factory (used to prove the
-/// harness catches planted bugs). Under a fault schedule the protocol
-/// is wrapped in the stock [`Reliable`] transport.
-pub fn run_case_with(
-    cfg: &LitmusConfig,
-    perturb: &PerturbConfig,
-    factory: ProtocolFactory,
-) -> Result<CaseResult, Box<Failure>> {
-    run_case_full(cfg, perturb, factory, &ReliableConfig::default())
-}
-
-/// [`run_case_with`] with the reliable transport's configuration also
-/// injectable. `transport` matters only when `perturb.fault` is set —
-/// a perfect network never wraps the protocol — and exists so the
-/// harness can plant the transport-level bug (`dedupe: false`:
-/// retransmission without duplicate suppression) and prove the fuzzer
-/// catches it.
-pub fn run_case_full(
-    cfg: &LitmusConfig,
-    perturb: &PerturbConfig,
-    factory: ProtocolFactory,
-    transport: &ReliableConfig,
-) -> Result<CaseResult, Box<Failure>> {
-    let litmus = Litmus::generate(cfg);
-    let fail = |stage: &'static str, message: String| Box::new(Failure {
-        seed: cfg.seed,
-        cfg: cfg.clone(),
-        perturb: perturb.clone(),
-        stage,
-        message,
-        shrunk: None,
-        shrunk_perturb: None,
-    });
-
-    let syscfg = perturb.system_config(cfg.nodes, cfg.seed);
-
-    // Typhoon under the invariant engine and the full perturbation set.
-    let (typhoon_cycles, typhoon_image, events) = {
-        let syscfg = syscfg.clone();
-        let litmus = &litmus;
-        catch(move || {
-            let workload = Box::new(litmus.workload(perturb.coalesce));
-            let mut m = perturb.typhoon(syscfg, workload, factory, *transport);
-            let mut checker = perturb.checker(litmus.blocks.clone());
-            let r = m.run_observed(&mut |now, ev, mach| checker.check(now, ev, mach));
-            let image: Vec<(VAddr, u64)> = litmus
-                .finals
-                .iter()
-                .map(|&(a, _)| (a, typhoon_word(&m, a)))
-                .collect();
-            (r.cycles, image, checker.events())
-        })
-        .map_err(|msg| fail("typhoon", msg))?
-    };
-
-    // DirNNB: same workload and tie-break seed, as the pristine reference.
-    let (dirnnb_cycles, dirnnb_image) = {
-        let litmus = &litmus;
-        catch(|| {
-            let mut m = perturb.dirnnb(&syscfg, Box::new(litmus.workload(perturb.coalesce)));
-            let r = m.run();
-            let image: Vec<(VAddr, u64)> = litmus
-                .finals
-                .iter()
-                .map(|&(a, _)| (a, m.shared_word(a)))
-                .collect();
-            (r.cycles, image)
-        })
-        .map_err(|msg| fail("dirnnb", msg))?
-    };
-
-    // Differential: both machines, and the generator's own prediction,
-    // must agree on every written word.
-    for (i, &(addr, expect)) in litmus.finals.iter().enumerate() {
-        let t = typhoon_image[i].1;
-        let d = dirnnb_image[i].1;
-        if t != expect || d != expect {
-            return Err(fail(
-                "differential",
-                format!(
-                    "final image mismatch at {addr}: typhoon {t:#x}, dirnnb {d:#x}, \
-                     expected {expect:#x}"
-                ),
-            ));
-        }
-    }
-
-    Ok(CaseResult { typhoon_cycles, dirnnb_cycles, events })
-}
-
-/// Derives the case and perturbation from `seed` and runs it. This is
-/// also `replay`: the same seed always reruns the identical case.
-pub fn run_seed(seed: u64) -> Result<CaseResult, Box<Failure>> {
-    run_seed_with_options(seed, &FuzzOptions::default())
-}
-
-/// Cross-cutting knobs for a fuzzing run or replay — everything the
-/// `tt-check` CLI can force on top of the seed-derived shapes.
+/// Cross-cutting knobs for a fuzzing run, replay or shrink — everything
+/// the `tt-check` CLI can force on top of the seed-derived shapes.
 #[derive(Clone, Debug, Default)]
 pub struct FuzzOptions {
     /// Enable the lossy-network dimension: every case gets a
@@ -447,17 +506,20 @@ pub struct FuzzOptions {
     /// Force the fault-plan seed instead of deriving it from the case
     /// seed (`tt-check replay --fault-seed F`). Implies `faults`.
     pub fault_seed: Option<u64>,
-    /// Reliable-transport configuration for faulty runs; `None` = the
-    /// stock config. `ReliableConfig { dedupe: false, .. }` is the
-    /// transport-level planted bug.
-    pub transport: Option<ReliableConfig>,
+    /// Plant a known bug the run must catch: on a perfect network the
+    /// [`SkipInvalidate`] Stache variant; with faults, a reliable
+    /// transport that retransmits without duplicate suppression
+    /// (`dedupe: false`) under the stock Stache.
+    pub planted_bug: bool,
     /// Force the interconnect model of the Typhoon legs
     /// (`tt-check run --topology mesh`); `None` = each seed's own draw.
     pub topology: Option<Topology>,
 }
 
 impl FuzzOptions {
-    /// The perturbation this options set produces for one seed.
+    /// The perturbation these options produce for one seed. The
+    /// fault-plan seed comes from its own fork, so fault decisions are
+    /// independent of every other drawn dimension.
     pub fn perturb_for(&self, seed: u64) -> PerturbConfig {
         let mut p = PerturbConfig::from_seed(seed);
         if self.faults || self.fault_seed.is_some() {
@@ -472,24 +534,120 @@ impl FuzzOptions {
         p
     }
 
-    /// The transport configuration in force.
-    pub fn transport_config(&self) -> ReliableConfig {
-        self.transport.unwrap_or_default()
+    /// The Stache legs' protocol and the Typhoon legs' transport: the
+    /// one place the planted bug is chosen. It follows the run's mode,
+    /// not each perturbation, so a shrink that drops the fault schedule
+    /// keeps the bug that was caught.
+    fn protocol(&self) -> (ProtocolFactory<'static>, ReliableConfig) {
+        let faulty = self.faults || self.fault_seed.is_some();
+        match (self.planted_bug, faulty) {
+            (true, false) => (&skip_invalidate_factory, ReliableConfig::default()),
+            (true, true) => (
+                &stache_factory,
+                ReliableConfig { dedupe: false, ..ReliableConfig::default() },
+            ),
+            (false, _) => (&stache_factory, ReliableConfig::default()),
+        }
     }
 }
 
-/// Derives the case from `seed` under `options` and runs it — the
-/// engine behind `tt-check replay` in all its variants.
-pub fn run_seed_with_options(
+/// Runs one case: every leg in order under `perturb`, each under
+/// [`catch`], then the final-image differential across all legs and the
+/// family's prediction.
+fn run_case(
+    shape: &Shape,
+    perturb: &PerturbConfig,
+    options: &FuzzOptions,
+) -> Result<CaseResult, Box<Failure>> {
+    let case = shape.case();
+    let fail = |stage: &'static str, message: String| {
+        Box::new(Failure {
+            seed: shape.seed(),
+            shape: shape.clone(),
+            perturb: perturb.clone(),
+            stage,
+            message,
+            shrunk: None,
+            shrunk_perturb: None,
+        })
+    };
+    let (protocol, transport) = options.protocol();
+    let mut syscfg = perturb.system_config(case.legs[0].scripts.len(), shape.seed());
+    if let Some(bytes) = case.stache_capacity_bytes {
+        syscfg.stache_capacity_bytes = bytes;
+    }
+
+    let mut result = CaseResult { cycles: Vec::new(), events: 0 };
+    let mut images: Vec<Vec<u64>> = Vec::new();
+    for leg in &case.legs {
+        let (cycles, image, events) = catch(|| {
+            let mut w = ScriptWorkload::new(leg.scripts.len()).with_layout(case.layout.clone());
+            for (n, script) in leg.scripts.iter().enumerate() {
+                let mut ops = script.clone();
+                if perturb.coalesce {
+                    coalesce_computes(&mut ops);
+                }
+                w.set(n, ops);
+            }
+            let workload: Box<dyn Workload> = Box::new(w);
+            let image = |word: &mut dyn FnMut(VAddr) -> u64| -> Vec<u64> {
+                case.finals.iter().map(|&(a, _)| word(a)).collect()
+            };
+            match &leg.machine {
+                Machine::Stache => {
+                    let mut m = perturb.typhoon(syscfg.clone(), workload, protocol, transport);
+                    let mut checker = perturb.checker(case.blocks.clone());
+                    let r = m.run_observed(&mut |now, ev, mach| checker.check(now, ev, mach));
+                    (r.cycles, image(&mut |a| typhoon_word(&m, a)), checker.events())
+                }
+                Machine::KvUpdate(kv) => {
+                    let latency = SharedKvLatency::default();
+                    let factory = |id, layout: &Layout, cfg: &SystemConfig| -> Box<dyn Protocol> {
+                        Box::new(KvUpdateProtocol::new(id, layout, cfg, kv.clone(), latency.clone()))
+                    };
+                    let mut m = perturb.typhoon(syscfg.clone(), workload, &factory, transport);
+                    let cycles = m.run().cycles;
+                    (cycles, image(&mut |a| typhoon_word(&m, a)), 0)
+                }
+                Machine::Dirnnb => {
+                    let mut m = perturb.dirnnb(&syscfg, workload);
+                    let cycles = m.run().cycles;
+                    (cycles, image(&mut |a| m.shared_word(a)), 0)
+                }
+            }
+        })
+        .map_err(|msg| fail(leg.stage, msg))?;
+        result.cycles.push((leg.name, cycles));
+        result.events += events;
+        images.push(image);
+    }
+
+    for (i, &(addr, expect)) in case.finals.iter().enumerate() {
+        if images.iter().any(|image| image[i] != expect) {
+            let got: String = case
+                .legs
+                .iter()
+                .zip(&images)
+                .map(|(leg, image)| format!("{} {:#x}, ", leg.name, image[i]))
+                .collect();
+            return Err(fail(
+                case.differential,
+                format!("final image mismatch at {addr}: {got}expected {expect:#x}"),
+            ));
+        }
+    }
+    Ok(result)
+}
+
+/// Derives `family`'s case and perturbation from `seed` under `options`
+/// and runs it. This is also replay: the same seed and options always
+/// rerun the identical case.
+pub fn run_seed(
+    family: Family,
     seed: u64,
     options: &FuzzOptions,
 ) -> Result<CaseResult, Box<Failure>> {
-    run_case_full(
-        &LitmusConfig::from_seed(seed),
-        &options.perturb_for(seed),
-        &stache_factory,
-        &options.transport_config(),
-    )
+    run_case(&family.shape(seed), &options.perturb_for(seed), options)
 }
 
 /// What a fuzzing sweep found.
@@ -501,140 +659,49 @@ pub struct FuzzReport {
     pub failure: Option<Failure>,
 }
 
-/// Fuzzes `count` consecutive seeds starting at `base_seed` with the
-/// stock protocol; stops at the first failure.
-pub fn fuzz(base_seed: u64, count: u64) -> FuzzReport {
-    fuzz_with(base_seed, count, &stache_factory)
-}
-
-/// Fuzzes with an injected protocol factory.
-pub fn fuzz_with(base_seed: u64, count: u64, factory: ProtocolFactory) -> FuzzReport {
-    fuzz_with_options(base_seed, count, &FuzzOptions::default(), factory)
-}
-
-/// Fuzzes `count` consecutive seeds under the full options set —
-/// including the fault-schedule dimension — stopping at the first
-/// failure. The engine behind `tt-check run` in all its variants.
-pub fn fuzz_with_options(
-    base_seed: u64,
-    count: u64,
-    options: &FuzzOptions,
-    factory: ProtocolFactory,
-) -> FuzzReport {
-    let transport = options.transport_config();
+/// Fuzzes `count` consecutive seeds of `family` starting at
+/// `base_seed`, stopping at the first failure.
+pub fn fuzz(family: Family, base_seed: u64, count: u64, options: &FuzzOptions) -> FuzzReport {
     for i in 0..count {
-        let seed = base_seed + i;
-        let cfg = LitmusConfig::from_seed(seed);
-        let perturb = options.perturb_for(seed);
-        if let Err(f) = run_case_full(&cfg, &perturb, factory, &transport) {
+        if let Err(f) = run_seed(family, base_seed + i, options) {
             return FuzzReport { seeds_run: i + 1, failure: Some(*f) };
         }
     }
     FuzzReport { seeds_run: count, failure: None }
 }
 
-/// Greedily shrinks a failing case. Two interleaved dimensions:
+/// Greedily shrinks a failing case under the `options` it was caught
+/// with. Two interleaved dimensions:
 ///
-/// - **shape** — repeatedly tries dropping a phase, a block, a page, or
-///   a node (in that order), keeping any reduction that still fails;
+/// - **shape** — tries the family's one-step-smaller shapes in order
+///   (a litmus case drops a phase, a block, a page, or a node), keeping
+///   any reduction that still fails;
 /// - **schedule** — delta-debugs the perturbation and fault dimensions
 ///   one at a time toward the production schedule (tie-shuffle off,
-///   jitter 0, no coalescing, direct execution off, sequential,
-///   fixed windows, each fault rate 0, finally no faults at all),
-///   keeping any simplification that still fails.
+///   jitter 0, no coalescing, direct execution off, the ideal network,
+///   each fault rate 0, finally no faults at all), keeping any
+///   simplification that still fails.
 ///
 /// Returns the failure with `shrunk` and `shrunk_perturb` filled in.
-pub fn shrink(failure: &Failure, factory: ProtocolFactory) -> Failure {
-    shrink_with_transport(failure, factory, &ReliableConfig::default())
-}
-
-/// [`shrink`] under an injected transport configuration, so
-/// transport-level planted bugs shrink under the same broken transport
-/// that caught them.
-pub fn shrink_with_transport(
-    failure: &Failure,
-    factory: ProtocolFactory,
-    transport: &ReliableConfig,
-) -> Failure {
-    let still_fails = |c: &LitmusConfig, p: &PerturbConfig| {
-        run_case_full(c, p, factory, transport).is_err()
-    };
-    let mut cur = failure.cfg.clone();
+pub fn shrink(failure: &Failure, options: &FuzzOptions) -> Failure {
+    let still_fails = |s: &Shape, p: &PerturbConfig| run_case(s, p, options).is_err();
+    let mut shape = failure.shape.clone();
     let mut per = failure.perturb.clone();
     loop {
         let mut progressed = false;
-
-        // Shape: drop one dimension at a time.
-        loop {
-            let mut candidates = Vec::new();
-            if cur.phases > 1 {
-                candidates.push(LitmusConfig { phases: cur.phases - 1, ..cur.clone() });
-            }
-            if cur.blocks > 1 {
-                let blocks = cur.blocks - 1;
-                candidates
-                    .push(LitmusConfig { blocks, pages: cur.pages.min(blocks), ..cur.clone() });
-            }
-            if cur.pages > 1 {
-                candidates.push(LitmusConfig { pages: cur.pages - 1, ..cur.clone() });
-            }
-            if cur.nodes > 2 {
-                candidates.push(LitmusConfig { nodes: cur.nodes - 1, ..cur.clone() });
-            }
-            match candidates.into_iter().find(|c| still_fails(c, &per)) {
-                Some(smaller) => {
-                    cur = smaller;
-                    progressed = true;
-                }
-                None => break,
-            }
+        while let Some(smaller) = shape.smaller().into_iter().find(|s| still_fails(s, &per)) {
+            shape = smaller;
+            progressed = true;
         }
-
-        // Schedule: simplify one dimension at a time.
-        loop {
-            let mut candidates: Vec<PerturbConfig> = Vec::new();
-            if per.tie_shuffle.is_some() {
-                candidates.push(PerturbConfig { tie_shuffle: None, ..per.clone() });
-            }
-            if per.jitter_max > 0 {
-                candidates.push(PerturbConfig { jitter_max: 0, jitter_seed: 0, ..per.clone() });
-            }
-            if per.coalesce {
-                candidates.push(PerturbConfig { coalesce: false, ..per.clone() });
-            }
-            if per.direct_execution {
-                candidates.push(PerturbConfig { direct_execution: false, ..per.clone() });
-            }
-            if per.topology != Topology::Ideal {
-                candidates.push(PerturbConfig { topology: Topology::Ideal, ..per.clone() });
-            }
-            if let Some(fs) = per.fault {
-                for zeroed in [
-                    FaultSpec { drop_permille: 0, ..fs },
-                    FaultSpec { dup_permille: 0, ..fs },
-                    FaultSpec { corrupt_permille: 0, ..fs },
-                    FaultSpec { partition_permille: 0, ..fs },
-                ] {
-                    if zeroed != fs {
-                        candidates.push(PerturbConfig { fault: Some(zeroed), ..per.clone() });
-                    }
-                }
-                candidates.push(PerturbConfig { fault: None, ..per.clone() });
-            }
-            match candidates.into_iter().find(|p| still_fails(&cur, p)) {
-                Some(simpler) => {
-                    per = simpler;
-                    progressed = true;
-                }
-                None => break,
-            }
+        while let Some(simpler) = per.simpler().into_iter().find(|p| still_fails(&shape, p)) {
+            per = simpler;
+            progressed = true;
         }
-
         if !progressed {
             break;
         }
     }
-    Failure { shrunk: Some(cur), shrunk_perturb: Some(per), ..failure.clone() }
+    Failure { shrunk: Some(shape), shrunk_perturb: Some(per), ..failure.clone() }
 }
 
 #[cfg(test)]
@@ -687,7 +754,8 @@ mod tests {
         pinned(2, None, 1, 15140692562908715804, false, true, ideal);
         pinned(3, Some(209740069791622052), 3, 16639847201113641552, true, false, ideal);
         pinned(63, None, 3, 6543730191758350546, false, false, ideal);
-        let f = PerturbConfig::from_seed_with_faults(3).fault.expect("faults drawn");
+        let faulty = FuzzOptions { faults: true, ..FuzzOptions::default() };
+        let f = faulty.perturb_for(3).fault.expect("faults drawn");
         assert_eq!(
             (f.seed, f.drop_permille, f.dup_permille, f.corrupt_permille),
             (12065743457767676854, 86, 119, 2)
@@ -704,17 +772,19 @@ mod tests {
 
     #[test]
     fn a_single_seed_runs_clean_and_replays_identically() {
-        let a = run_seed(7).expect("seed 7 clean");
-        let b = run_seed(7).expect("seed 7 clean on replay");
+        let options = FuzzOptions::default();
+        let a = run_seed(Family::Litmus, 7, &options).expect("seed 7 clean");
+        let b = run_seed(Family::Litmus, 7, &options).expect("seed 7 clean on replay");
         assert_eq!(a, b);
         assert!(a.events > 0);
     }
 
     #[test]
     fn fault_dimension_is_deterministic_and_varied() {
+        let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
         for seed in 0..50 {
-            let a = PerturbConfig::from_seed_with_faults(seed);
-            assert_eq!(a, PerturbConfig::from_seed_with_faults(seed));
+            let a = options.perturb_for(seed);
+            assert_eq!(a, options.perturb_for(seed));
             let fs = a.fault.expect("faults drawn");
             // Everything else matches the fault-free draw: the fault
             // dimension must not disturb historical seed shapes.
@@ -723,7 +793,7 @@ mod tests {
         }
         assert!(
             (0..50).any(|s| {
-                let f = PerturbConfig::from_seed_with_faults(s).fault.unwrap();
+                let f = options.perturb_for(s).fault.unwrap();
                 f.drop_permille > 0 && f.dup_permille > 0
             }),
             "some schedules must both drop and duplicate"
@@ -734,9 +804,9 @@ mod tests {
     fn faulty_seeds_run_clean_and_replay_identically() {
         let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
         for seed in 0..4 {
-            let a = run_seed_with_options(seed, &options)
+            let a = run_seed(Family::Litmus, seed, &options)
                 .unwrap_or_else(|f| panic!("faulty seed {seed} failed: {f}"));
-            let b = run_seed_with_options(seed, &options).expect("replay clean");
+            let b = run_seed(Family::Litmus, seed, &options).expect("replay clean");
             assert_eq!(a, b, "faulty seed {seed} did not replay bit-exactly");
         }
     }
@@ -750,8 +820,8 @@ mod tests {
             fault_seed: Some(0xFA17),
             ..FuzzOptions::default()
         };
-        let a = run_seed_with_options(11, &options).expect("faulty run clean");
-        let b = run_seed_with_options(11, &options).expect("faulty replay clean");
+        let a = run_seed(Family::Litmus, 11, &options).expect("faulty run clean");
+        let b = run_seed(Family::Litmus, 11, &options).expect("faulty replay clean");
         assert_eq!(a, b, "forced fault schedule did not replay bit-exactly");
     }
 
@@ -760,20 +830,43 @@ mod tests {
         // Retransmission without duplicate suppression: the transport
         // hands stale deliveries to Stache, which the harness must
         // catch. The shrinker then delta-debugs the fault schedule.
-        let broken = ReliableConfig { dedupe: false, ..ReliableConfig::default() };
         let options = FuzzOptions {
             faults: true,
-            transport: Some(broken),
+            planted_bug: true,
             ..FuzzOptions::default()
         };
-        let report = fuzz_with_options(0, 30, &options, &stache_factory);
+        let report = fuzz(Family::Litmus, 0, 30, &options);
         let failure = report.failure.expect("dedupe-off transport must be caught");
-        let shrunk = shrink_with_transport(&failure, &stache_factory, &broken);
+        let shrunk = shrink(&failure, &options);
         let per = shrunk.shrunk_perturb.expect("schedule shrink ran");
         assert!(
             per.fault.is_some(),
             "the failure needs faults, so shrinking must keep a fault schedule"
         );
         assert!(shrunk.shrunk.is_some());
+    }
+
+    /// One failure line carries the shape, the fault schedule, the
+    /// message, and both shrink results, in that order.
+    #[test]
+    fn failure_line_renders_shape_and_shrinks() {
+        let shape = Family::Litmus.shape(0);
+        let mut perturb = PerturbConfig::none();
+        perturb.fault = FuzzOptions { faults: true, ..FuzzOptions::default() }.perturb_for(0).fault;
+        let failure = Failure {
+            seed: 0,
+            shape: shape.clone(),
+            perturb: perturb.clone(),
+            stage: "typhoon",
+            message: "boom".into(),
+            shrunk: Some(shape),
+            shrunk_perturb: Some(PerturbConfig { fault: None, ..perturb }),
+        };
+        let line = failure.to_string();
+        let c = LitmusConfig::from_seed(0);
+        let dims = format!("nodes={} pages={} blocks={} phases={}", c.nodes, c.pages, c.blocks, c.phases);
+        assert!(line.starts_with(&format!("seed 0 [typhoon stage] {dims} faults[seed=")), "{line}");
+        assert!(line.contains(&format!(": boom (shrunk to {dims}) (schedule shrunk to tie=false ")), "{line}");
+        assert!(line.ends_with("topology=ideal no-faults)"), "{line}");
     }
 }

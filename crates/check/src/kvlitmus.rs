@@ -36,19 +36,14 @@
 //! (updates arriving for pages the sharer has dropped).
 
 use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
-use tt_base::workload::{coalesce_computes, Op, ScriptWorkload};
-use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
-use tt_apps::kv_update::KvUpdateProtocol;
-use tt_serve::{header_word, value_word, KvLayout, SharedKvLatency, KV_PUT_OP};
-use tt_stache::ReliableConfig;
+use tt_base::workload::Op;
+use tt_base::{DetRng, NodeId, VAddr};
+use tt_serve::{header_word, value_word, KvLayout, KV_PUT_OP};
 
-use crate::fuzz::{catch, fault_summary, stache_factory, typhoon_word, FuzzOptions, PerturbConfig};
+use crate::fuzz::{Case, Leg, Machine};
 
 /// Words written by one put: `(addr, value)` pairs over the slot.
 type SlotWords = Vec<(VAddr, u64)>;
-/// A boxed machine-shaped protocol factory.
-type BoxedFactory =
-    Box<dyn Fn(NodeId, &tt_base::workload::Layout, &SystemConfig) -> Box<dyn tt_tempest::Protocol>>;
 
 /// The shape of a KV litmus case.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,6 +78,18 @@ impl KvLitmusConfig {
             value_words: 1 + rng.below_usize(6),
             tight_stache: rng.chance(0.3),
         }
+    }
+
+    /// The shape's dimensions, in display order (`tight` is 0 or 1).
+    pub(crate) fn fields(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("nodes", self.nodes as u64),
+            ("keyspace", self.keyspace),
+            ("hot", self.hot_keys as u64),
+            ("rounds", self.rounds as u64),
+            ("words", self.value_words as u64),
+            ("tight", self.tight_stache as u64),
+        ]
     }
 }
 
@@ -242,220 +249,31 @@ impl KvLitmus {
         }
     }
 
-    /// Builds a fresh workload for one run of one variant.
-    pub fn workload(&self, update_variant: bool, coalesce: bool) -> ScriptWorkload {
-        let scripts = if update_variant { &self.update_scripts } else { &self.stache_scripts };
-        let mut w = ScriptWorkload::new(self.cfg.nodes).with_layout(self.kv.layout());
-        for (n, script) in scripts.iter().enumerate() {
-            let mut ops = script.clone();
-            if coalesce {
-                coalesce_computes(&mut ops);
-            }
-            w.set(n, ops);
-        }
-        w
-    }
-}
-
-/// A caught KV-differential failure.
-#[derive(Clone, Debug)]
-pub struct KvFailure {
-    /// The seed that produced the case.
-    pub seed: u64,
-    /// The case shape.
-    pub cfg: KvLitmusConfig,
-    /// The schedule perturbation in force.
-    pub perturb: PerturbConfig,
-    /// Which leg failed: `"kv-stache"`, `"kv-update"`, `"kv-dirnnb"`,
-    /// or `"kv-differential"`.
-    pub stage: &'static str,
-    /// The panic message or mismatch description.
-    pub message: String,
-}
-
-impl std::fmt::Display for KvFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "seed {} [{} stage] nodes={} keyspace={} hot={} rounds={} words={}{}",
-            self.seed,
-            self.stage,
-            self.cfg.nodes,
-            self.cfg.keyspace,
-            self.cfg.hot_keys,
-            self.cfg.rounds,
-            self.cfg.value_words,
-            if self.cfg.tight_stache { " tight" } else { "" },
-        )?;
-        if let Some(fs) = &self.perturb.fault {
-            write!(f, " {}", fault_summary(fs))?;
-        }
-        write!(f, ": {}", self.message)
-    }
-}
-
-/// A clean KV case's vitals.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KvCaseResult {
-    /// Stache-leg completion time.
-    pub stache_cycles: Cycles,
-    /// Update-leg completion time.
-    pub update_cycles: Cycles,
-    /// DirNNB-leg completion time.
-    pub dirnnb_cycles: Cycles,
-    /// Events the invariant engine observed on the stache leg.
-    pub events: u64,
-}
-
-/// Runs one KV case: three legs and a four-way image differential.
-pub fn run_kv_case(
-    cfg: &KvLitmusConfig,
-    perturb: &PerturbConfig,
-) -> Result<KvCaseResult, Box<KvFailure>> {
-    let litmus = KvLitmus::generate(cfg);
-    let fail = |stage: &'static str, message: String| {
-        Box::new(KvFailure {
-            seed: cfg.seed,
-            cfg: cfg.clone(),
-            perturb: perturb.clone(),
-            stage,
-            message,
-        })
-    };
-
-    let mut syscfg = perturb.system_config(cfg.nodes, cfg.seed);
-    if cfg.tight_stache {
-        syscfg.stache_capacity_bytes = 2 * PAGE_BYTES;
-    }
-
-    let run_typhoon = |update_variant: bool,
-                       observe: bool|
-     -> Result<(Cycles, SlotWords, u64), String> {
-        let runcfg = syscfg.clone();
-        let litmus = &litmus;
-        catch(move || {
-            let workload = Box::new(litmus.workload(update_variant, perturb.coalesce));
-            let collector = SharedKvLatency::default();
-            let factory: BoxedFactory = if update_variant {
-                let kv = litmus.kv.clone();
-                Box::new(move |id, layout, cfg| {
-                    Box::new(KvUpdateProtocol::new(id, layout, cfg, kv.clone(), collector.clone()))
-                })
-            } else {
-                Box::new(stache_factory)
-            };
-            // Under a fault schedule both protocols — Stache *and* the
-            // custom kv_update protocol — run behind the reliable
-            // transport.
-            let mut m = perturb.typhoon(runcfg, workload, &*factory, ReliableConfig::default());
-            let (cycles, events) = if observe {
-                let mut checker = perturb.checker(litmus.blocks.clone());
-                let r = m.run_observed(&mut |now, ev, mach| checker.check(now, ev, mach));
-                (r.cycles, checker.events())
-            } else {
-                (m.run().cycles, 0)
-            };
-            let image: Vec<(VAddr, u64)> = litmus
-                .finals
-                .iter()
-                .map(|&(a, _)| (a, typhoon_word(&m, a)))
-                .collect();
-            (cycles, image, events)
-        })
-    };
-
-    // Leg 1: Typhoon + Stache on raw stores, invariant engine on.
-    let (stache_cycles, stache_image, events) =
-        run_typhoon(false, true).map_err(|m| fail("kv-stache", m))?;
-
-    // Leg 2: Typhoon + the write-update protocol on staged puts. No
-    // invariant engine: home-ReadWrite + sharer-ReadOnly is this
-    // protocol's intended tag state and violates SWMR by design.
-    let (update_cycles, update_image, _) =
-        run_typhoon(true, false).map_err(|m| fail("kv-update", m))?;
-
-    // Leg 3: DirNNB on raw stores, the pristine reference the lossy or
-    // mesh-routed legs' final images are held against.
-    let (dirnnb_cycles, dirnnb_image) = {
-        let litmus = &litmus;
-        catch(|| {
-            let workload = Box::new(litmus.workload(false, perturb.coalesce));
-            let mut m = perturb.dirnnb(&syscfg, workload);
-            let r = m.run();
-            let image: Vec<(VAddr, u64)> = litmus
-                .finals
-                .iter()
-                .map(|&(a, _)| (a, m.shared_word(a)))
-                .collect();
-            (r.cycles, image)
-        })
-        .map_err(|m| fail("kv-dirnnb", m))?
-    };
-
-    // Differential: all three legs and the generator's prediction must
-    // agree on every written slot word.
-    for (i, &(addr, expect)) in litmus.finals.iter().enumerate() {
-        let s = stache_image[i].1;
-        let u = update_image[i].1;
-        let d = dirnnb_image[i].1;
-        if s != expect || u != expect || d != expect {
-            return Err(fail(
-                "kv-differential",
-                format!(
-                    "final image mismatch at {addr}: stache {s:#x}, update {u:#x}, \
-                     dirnnb {d:#x}, expected {expect:#x}"
-                ),
-            ));
+    /// The engine's legs: Typhoon/Stache on the raw stores under the
+    /// invariant engine, the write-update server on the staged puts,
+    /// then the DirNNB reference on the raw stores. A tight shape caps
+    /// the Typhoon legs' stache at two pages.
+    pub(crate) fn into_case(self) -> Case {
+        let leg = |name, stage, machine, scripts| Leg { name, stage, machine, scripts };
+        Case {
+            layout: self.kv.layout(),
+            legs: vec![
+                leg("stache", "kv-stache", Machine::Stache, self.stache_scripts.clone()),
+                leg("update", "kv-update", Machine::KvUpdate(self.kv), self.update_scripts),
+                leg("dirnnb", "kv-dirnnb", Machine::Dirnnb, self.stache_scripts),
+            ],
+            blocks: self.blocks,
+            finals: self.finals,
+            differential: "kv-differential",
+            stache_capacity_bytes: self.cfg.tight_stache.then_some(2 * PAGE_BYTES),
         }
     }
-
-    Ok(KvCaseResult { stache_cycles, update_cycles, dirnnb_cycles, events })
-}
-
-/// Derives the KV case and perturbation from `seed` and runs it.
-pub fn run_kv_seed(seed: u64) -> Result<KvCaseResult, Box<KvFailure>> {
-    run_kv_seed_with_options(seed, &FuzzOptions::default())
-}
-
-/// [`run_kv_seed`] under the full options set, including the
-/// fault-schedule dimension — `kv_update` under retransmission is the
-/// scariest corner the harness covers.
-pub fn run_kv_seed_with_options(
-    seed: u64,
-    options: &FuzzOptions,
-) -> Result<KvCaseResult, Box<KvFailure>> {
-    run_kv_case(&KvLitmusConfig::from_seed(seed), &options.perturb_for(seed))
-}
-
-/// What a KV fuzzing sweep found.
-#[derive(Clone, Debug)]
-pub struct KvFuzzReport {
-    /// Seeds actually run (stops at the first failure).
-    pub seeds_run: u64,
-    /// The first failure, if any.
-    pub failure: Option<KvFailure>,
-}
-
-/// Fuzzes `count` consecutive KV seeds starting at `base_seed`; stops
-/// at the first failure.
-pub fn fuzz_kv(base_seed: u64, count: u64) -> KvFuzzReport {
-    fuzz_kv_with_options(base_seed, count, &FuzzOptions::default())
-}
-
-/// [`fuzz_kv`] under the full options set, including fault schedules.
-pub fn fuzz_kv_with_options(base_seed: u64, count: u64, options: &FuzzOptions) -> KvFuzzReport {
-    for i in 0..count {
-        let seed = base_seed + i;
-        if let Err(f) = run_kv_seed_with_options(seed, options) {
-            return KvFuzzReport { seeds_run: i + 1, failure: Some(*f) };
-        }
-    }
-    KvFuzzReport { seeds_run: count, failure: None }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::{fuzz, run_seed, shrink, Family, FuzzOptions};
 
     #[test]
     fn config_derivation_is_deterministic_and_in_range() {
@@ -490,7 +308,7 @@ mod tests {
 
     #[test]
     fn first_seeds_pass_the_differential() {
-        let report = fuzz_kv(0, 25);
+        let report = fuzz(Family::Kv, 0, 25, &FuzzOptions::default());
         assert!(
             report.failure.is_none(),
             "seed failed: {}",
@@ -502,7 +320,7 @@ mod tests {
     #[test]
     fn faulty_kv_seeds_pass_the_differential() {
         let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
-        let report = fuzz_kv_with_options(0, 8, &options);
+        let report = fuzz(Family::Kv, 0, 8, &options);
         assert!(
             report.failure.is_none(),
             "faulty kv seed failed: {}",
@@ -520,8 +338,25 @@ mod tests {
             fault_seed: Some(0xFA17_5EED),
             ..FuzzOptions::default()
         };
-        let a = run_kv_seed_with_options(5, &options).expect("faulty kv run clean");
-        let b = run_kv_seed_with_options(5, &options).expect("faulty kv replay clean");
+        let a = run_seed(Family::Kv, 5, &options).expect("faulty kv run clean");
+        let b = run_seed(Family::Kv, 5, &options).expect("faulty kv replay clean");
         assert_eq!(a, b, "kv fault schedule did not replay bit-exactly");
+    }
+
+    /// The engine's planted Stache bug reaches the KV family's Stache
+    /// leg too; the failure is caught and its schedule shrinks, while
+    /// the shape (no KV shape candidates yet) stays as drawn.
+    #[test]
+    fn planted_bug_in_the_stache_leg_is_caught_and_schedule_shrunk() {
+        let options = FuzzOptions { planted_bug: true, ..FuzzOptions::default() };
+        let failure = fuzz(Family::Kv, 0, 40, &options)
+            .failure
+            .expect("a Stache leg that skips invalidations must be caught");
+        assert!(failure.stage.starts_with("kv-"), "{failure}");
+        let shrunk = shrink(&failure, &options);
+        assert_eq!(shrunk.shrunk.as_ref(), Some(&failure.shape));
+        let per = shrunk.shrunk_perturb.expect("schedule shrink ran");
+        assert!(per.fault.is_none());
+        assert!(run_seed(Family::Kv, failure.seed, &options).is_err(), "the failure replays");
     }
 }

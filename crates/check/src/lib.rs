@@ -13,18 +13,29 @@
 //!    block, the request/response virtual-network send discipline
 //!    (deadlock-freedom of the waits-for order), and an event budget
 //!    that turns livelock into a reported failure;
-//! 2. a **schedule fuzzer** ([`fuzz`]) — seed-generated litmus workloads
-//!    ([`litmus`]) run under perturbations of the machine's *legal*
-//!    nondeterminism (same-cycle tie-breaking, network latency jitter,
-//!    compute coalescing, direct execution on/off). Everything derives
-//!    from one `u64` seed through [`tt_base::DetRng`], so
-//!    `tt-check replay --seed S` reproduces a failure bit-exactly, and a
-//!    greedy shrinker reduces a failing case to a minimal configuration;
-//! 3. a **differential checker** (also in [`fuzz`]) — the same workload
-//!    runs on `tt-typhoon` (user-level Stache protocol) and `tt-dirnnb`
-//!    (the hardware `Dir_N NB` baseline); final shared-memory images
-//!    must match each other *and* the generator's own happens-before
+//! 2. a **schedule fuzzer** ([`mod@fuzz`]) — seed-generated cases run under
+//!    perturbations of the machine's *legal* nondeterminism (same-cycle
+//!    tie-breaking, network latency jitter, compute coalescing, direct
+//!    execution on/off, lossy-network schedules, routed topologies).
+//!    Everything derives from one `u64` seed through
+//!    [`tt_base::DetRng`], so `tt-check replay --seed S` reproduces a
+//!    failure bit-exactly, and a greedy shrinker reduces a failing case
+//!    to a minimal shape and schedule;
+//! 3. a **differential checker** (also in [`mod@fuzz`]) — the same requests
+//!    run on `tt-typhoon` (user-level protocols) and `tt-dirnnb` (the
+//!    hardware `Dir_N NB` baseline); final shared-memory images must
+//!    match each other *and* the generator's own happens-before
 //!    prediction, word for word.
+//!
+//! Layers 2 and 3 are one engine with three entry points — [`fuzz()`],
+//! [`run_seed`] (also replay) and [`shrink`] — reporting through one
+//! [`Failure`], [`CaseResult`] and [`FuzzReport`]. A check [`Family`]
+//! supplies only its [`Shape`] (seed draw, display, shrink candidates),
+//! its legs and their scripts, and its predicted final image:
+//! [`litmus`] (contended blocks, Typhoon/Stache against DirNNB) and
+//! [`kvlitmus`] (KV put/get races, Typhoon/Stache and the write-update
+//! server against DirNNB). [`FuzzOptions`] forces faults, a fault seed,
+//! a topology, or the planted bug.
 //!
 //! [`scenarios`] carries known-broken protocols (promoted from the old
 //! `tt-typhoon` failure-injection tests) that the harness must catch:
@@ -45,13 +56,9 @@ pub mod litmus;
 pub mod scenarios;
 
 pub use fuzz::{
-    fuzz, fuzz_with, fuzz_with_options, run_case, run_case_full, run_case_with, run_seed,
-    run_seed_with_options, shrink, shrink_with_transport, stache_factory, CaseResult, Failure,
-    FuzzOptions, FuzzReport, PerturbConfig,
+    fuzz, run_seed, shrink, stache_factory, CaseResult, Failure, Family, FuzzOptions, FuzzReport,
+    PerturbConfig, Shape,
 };
 pub use invariants::InvariantChecker;
-pub use kvlitmus::{
-    fuzz_kv, fuzz_kv_with_options, run_kv_case, run_kv_seed, run_kv_seed_with_options,
-    KvCaseResult, KvFailure, KvFuzzReport, KvLitmus, KvLitmusConfig,
-};
+pub use kvlitmus::{KvLitmus, KvLitmusConfig};
 pub use litmus::{classic_suite, run_classic, ClassicLitmus, Litmus, LitmusConfig};

@@ -13,13 +13,11 @@
 //! case ends with every node reading the whole image back.
 
 use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
-use tt_base::workload::{
-    coalesce_computes, Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE,
-};
+use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE};
 use tt_base::{Cycles, DetRng, NodeId, VAddr};
 use tt_stache::ReliableConfig;
 
-use crate::fuzz::{stache_factory, PerturbConfig};
+use crate::fuzz::{stache_factory, Case, Leg, Machine, PerturbConfig};
 
 /// The words in a coherence block.
 pub const WORDS_PER_BLOCK: usize = BLOCK_BYTES / WORD_BYTES;
@@ -50,6 +48,32 @@ impl LitmusConfig {
         let pages = (1 + rng.below_usize(2)).min(blocks);
         let phases = 1 + rng.below_usize(4);
         LitmusConfig { seed, nodes, pages, blocks, phases }
+    }
+
+    /// The shape's dimensions, in display order.
+    pub(crate) fn fields(&self) -> Vec<(&'static str, u64)> {
+        let dims = [self.nodes, self.pages, self.blocks, self.phases];
+        ["nodes", "pages", "blocks", "phases"].into_iter().zip(dims.map(|d| d as u64)).collect()
+    }
+
+    /// The shrinker's candidates: drop a phase, a block, a page, or a
+    /// node, in that order.
+    pub(crate) fn smaller(&self) -> Vec<LitmusConfig> {
+        let mut out = Vec::new();
+        if self.phases > 1 {
+            out.push(LitmusConfig { phases: self.phases - 1, ..self.clone() });
+        }
+        if self.blocks > 1 {
+            let blocks = self.blocks - 1;
+            out.push(LitmusConfig { blocks, pages: self.pages.min(blocks), ..self.clone() });
+        }
+        if self.pages > 1 {
+            out.push(LitmusConfig { pages: self.pages - 1, ..self.clone() });
+        }
+        if self.nodes > 2 {
+            out.push(LitmusConfig { nodes: self.nodes - 1, ..self.clone() });
+        }
+        out
     }
 }
 
@@ -167,19 +191,21 @@ impl Litmus {
         Litmus { cfg: cfg.clone(), layout, scripts, blocks, finals }
     }
 
-    /// Builds a fresh workload for one machine run, optionally
-    /// coalescing adjacent compute ops (a legal perturbation: it only
-    /// merges think-time).
-    pub fn workload(&self, coalesce: bool) -> ScriptWorkload {
-        let mut w = ScriptWorkload::new(self.cfg.nodes).with_layout(self.layout.clone());
-        for (n, script) in self.scripts.iter().enumerate() {
-            let mut ops = script.clone();
-            if coalesce {
-                coalesce_computes(&mut ops);
-            }
-            w.set(n, ops);
+    /// The engine's legs: Typhoon/Stache under the invariant engine,
+    /// then the DirNNB reference, both on the same scripts.
+    pub(crate) fn into_case(self) -> Case {
+        let leg = |name, machine, scripts| Leg { name, stage: name, machine, scripts };
+        Case {
+            layout: self.layout,
+            legs: vec![
+                leg("typhoon", Machine::Stache, self.scripts.clone()),
+                leg("dirnnb", Machine::Dirnnb, self.scripts),
+            ],
+            blocks: self.blocks,
+            finals: self.finals,
+            differential: "differential",
+            stache_capacity_bytes: None,
         }
-        w
     }
 }
 

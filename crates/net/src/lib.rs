@@ -770,31 +770,15 @@ impl Network {
         out
     }
 
-    /// Records traffic statistics for a packet the caller does not build.
-    ///
-    /// The DirNNB machine charges protocol latencies from its own cost
-    /// tables and uses the network for traffic accounting only; this is
-    /// the accounting half of [`Network::send`] (same packet/byte/local
-    /// counters) without constructing a [`Payload`] per message or
-    /// advancing injection-port state.
-    pub fn count(&mut self, src: NodeId, dst: NodeId, vn: VirtualNet, wire_bytes: usize) {
-        if src == dst {
-            self.stats.local_packets.inc();
-            return;
-        }
-        let vn = vn.index();
-        self.stats.packets[vn].inc();
-        self.stats.bytes[vn].add(wire_bytes as u64);
-    }
-
     /// Accounts for a packet the caller does not build and returns its
-    /// arrival time for an injection at `inject`: the accounting of
-    /// [`Network::count`] combined with the latency model of
-    /// [`Network::send`]. A self-send arrives at `inject` (the caller's
-    /// cost model already covers local hand-off); the ideal pipe charges
-    /// the constant latency; routed topologies charge the route. Used by
-    /// the DirNNB machine, whose protocol messages carry no payload the
-    /// simulator needs.
+    /// arrival time for an injection at `inject`: the packet/byte/local
+    /// counters of [`Network::send`] without constructing a [`Payload`],
+    /// and its latency model without injection-port occupancy. A
+    /// self-send arrives at `inject` (the caller's cost model already
+    /// covers local hand-off); the ideal pipe charges the constant
+    /// latency; routed topologies charge the route. Used by the DirNNB
+    /// machine, whose protocol messages carry no payload the simulator
+    /// needs.
     pub fn deliver_at(
         &mut self,
         inject: Cycles,

@@ -31,9 +31,18 @@ cargo run --release -p tt-bench --bin figure3 -- \
 # litmus cases under schedule perturbation must run clean on both
 # machines, and a planted protocol bug must be caught. On failure
 # tt-check prints the seed; reproduce with `tt-check replay --seed S`.
-echo "==> tt-check smoke (500 seeds clean + planted bug caught)"
+echo "==> tt-check smoke (500 seeds clean + planted bug caught and shrunk)"
 cargo run --release -p tt-bench --bin tt-check -- run --seeds 500
-cargo run --release -p tt-bench --bin tt-check -- run --seeds 500 --planted-bug
+cargo run --release -p tt-bench --bin tt-check -- run --seeds 500 --planted-bug \
+    --out /tmp/ttcheck_planted.json
+# The --out report must record the catch: not clean, with a shrunk shape.
+python3 -c '
+import json, sys
+r = json.load(open(sys.argv[1]))
+assert r["clean"] is False, "planted bug not recorded as a failure"
+assert r["failure"]["shrunk"] is not None, "planted-bug failure was not shrunk"
+' /tmp/ttcheck_planted.json
+rm -f /tmp/ttcheck_planted.json
 
 # KV-serving smoke (tt-serve): the same sweep twice, once on one sweep
 # worker and once on two. Latency percentiles and cycle counts print to
@@ -99,6 +108,16 @@ rm -f /tmp/ttfr_a.txt /tmp/ttfr_b.txt
 echo "==> tt-check kv (200 seeds + 100 lossy seeds)"
 cargo run --release -p tt-bench --bin tt-check -- kv --seeds 200
 cargo run --release -p tt-bench --bin tt-check -- kv --seeds 100 --faults
+
+# The same fault-replay determinism for the KV family: one forced fault
+# schedule replayed twice must print identical cycles on all three legs.
+echo "==> tt-check kv fault replay determinism (--fault-seed, replayed twice)"
+cargo run --release -p tt-bench --bin tt-check -- \
+    kv --seed 5 --faults --fault-seed 64023 >/tmp/ttkv_a.txt
+cargo run --release -p tt-bench --bin tt-check -- \
+    kv --seed 5 --faults --fault-seed 64023 >/tmp/ttkv_b.txt
+cmp /tmp/ttkv_a.txt /tmp/ttkv_b.txt
+rm -f /tmp/ttkv_a.txt /tmp/ttkv_b.txt
 
 # Big-machine smoke: a 256-node mesh figure-3 point. The cycle table
 # must be bit-identical between one and two sweep workers, every point's

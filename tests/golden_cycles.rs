@@ -25,7 +25,7 @@ fn figure3_row(app: AppId) -> Vec<(u64, u64)> {
     FIGURE3_POINTS
         .into_iter()
         .map(|(set, cache)| {
-            let p = figure3_point(app, set, cache, smoke::SCALE, &cfg);
+            let p = figure3_point(app, set, cache, smoke::SCALE, &cfg, 1);
             (p.typhoon.raw(), p.dirnnb.raw())
         })
         .collect()
@@ -109,7 +109,7 @@ fn figure4_matches_golden() {
     let got: Vec<[u64; 3]> = FIGURE4_PCTS
         .into_iter()
         .map(|pct| {
-            figure4_point(pct, smoke::SCALE, &cfg)
+            figure4_point(pct, smoke::SCALE, &cfg, 1)
                 .cycles
                 .map(|c| c.raw())
         })
