@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use tt_base::workload::{coalesce_computes, Layout, Op, Workload};
+use tt_base::workload::{Layout, Op, Workload};
 use tt_base::NodeId;
 
 /// A barrier-phase SPMD application.
@@ -40,33 +40,17 @@ pub struct PhasedWorkload<A> {
     app: A,
     buffered: Vec<VecDeque<Vec<Op>>>,
     done: bool,
-    coalesce: bool,
 }
 
 impl<A: PhasedApp> PhasedWorkload<A> {
-    /// Wraps `app`. Compute coalescing is off by default so that reported
-    /// cycle counts are bit-identical to a run of the unmerged op stream.
+    /// Wraps `app`; chunks are handed out exactly as the app generated them.
     pub fn new(app: A) -> Self {
         let procs = app.procs();
         PhasedWorkload {
             app,
             buffered: vec![VecDeque::new(); procs],
             done: false,
-            coalesce: false,
         }
-    }
-
-    /// Enables or disables merging of consecutive `Compute` ops at phase
-    /// emission. Coalescing never changes a processor's clock trajectory
-    /// between synchronization ops, but it does change *where* a quantum
-    /// boundary falls inside a compute span, which shifts the wall order
-    /// in which same-cycle yield events are scheduled — and with it the
-    /// event queue's FIFO tie-breaking. That can perturb reported cycle
-    /// counts by a fraction of a percent (observed ~0.2% on barnes), so
-    /// it is opt-in for throughput-oriented runs rather than the default.
-    pub fn with_coalescing(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
     }
 
     /// The wrapped application.
@@ -85,10 +69,7 @@ impl<A: PhasedApp> PhasedWorkload<A> {
         match self.app.next_phase() {
             Some(chunks) => {
                 assert_eq!(chunks.len(), self.buffered.len(), "one chunk per processor");
-                for (i, mut c) in chunks.into_iter().enumerate() {
-                    if self.coalesce {
-                        coalesce_computes(&mut c);
-                    }
+                for (i, c) in chunks.into_iter().enumerate() {
                     self.buffered[i].push_back(c);
                 }
                 self.buffered[cpu.index()].pop_front()
@@ -202,14 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_merges_compute_runs_when_enabled() {
-        let mut w = PhasedWorkload::new(Chatty { emitted: false }).with_coalescing(true);
-        let c = w.next_chunk(NodeId::new(0)).unwrap();
-        assert_eq!(c, vec![Op::Compute(6), Op::Barrier]);
-    }
-
-    #[test]
-    fn coalescing_is_off_by_default() {
+    fn chunks_are_handed_out_unmerged() {
         let mut w = PhasedWorkload::new(Chatty { emitted: false });
         let c = w.next_chunk(NodeId::new(0)).unwrap();
         assert_eq!(c.len(), 4);

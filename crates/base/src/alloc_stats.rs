@@ -63,11 +63,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Bytes currently allocated (0 if the counting allocator is not installed).
-pub fn live_bytes() -> u64 {
-    LIVE.load(Ordering::Relaxed)
-}
-
 /// High-water mark of live bytes since process start or the last
 /// [`reset_peak`].
 pub fn peak_bytes() -> u64 {

@@ -1,9 +1,9 @@
 //! Lightweight statistics primitives used by the machine models.
 //!
 //! The machines define their own typed statistics structs; this module
-//! provides the shared building blocks: a [`Counter`], a bounded
-//! [`Histogram`], and a [`Report`] of name/value rows that machines emit
-//! for the bench harness to print.
+//! provides the shared building blocks: a [`Counter`], a log-linear
+//! [`LatHistogram`] of latencies, and a [`Report`] of name/value rows that
+//! machines emit for the bench harness to print.
 
 use std::fmt;
 
@@ -39,59 +39,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// A fixed-bucket histogram of small integer samples (e.g. sharer counts).
-///
-/// Samples at or above the bucket count land in the final, overflow bucket.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets (the last is overflow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0`.
-    pub fn new(buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            buckets: vec![0; buckets],
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: usize) {
-        let i = value.min(self.buckets.len() - 1);
-        self.buckets[i] += 1;
-    }
-
-    /// The recorded count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Total number of samples recorded.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Mean of the recorded samples (overflow bucket counted at its index).
-    pub fn mean(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| i as u64 * c)
-            .sum();
-        weighted as f64 / total as f64
     }
 }
 
@@ -297,26 +244,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn histogram_overflow_bucket() {
-        let mut h = Histogram::new(4);
-        h.record(0);
-        h.record(3);
-        h.record(99); // overflow -> bucket 3
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(3), 2);
-        assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn histogram_mean() {
-        let mut h = Histogram::new(10);
-        h.record(2);
-        h.record(4);
-        assert!((h.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(Histogram::new(3).mean(), 0.0);
     }
 
     #[test]

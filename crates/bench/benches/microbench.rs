@@ -4,7 +4,17 @@
 //! throughput. Uses the internal `tt_bench::harness` (criterion is
 //! unavailable offline).
 //!
-//! Run with `cargo bench --bench microbench [-- <filter>]`.
+//! Run with `cargo bench -p tt-bench --bench microbench [-- <filter>]`.
+//!
+//! Three layer microbenches that matched a perfbench loop for loop now
+//! live only in perfbench (per-layer metrics, `--trace 1`), which reports
+//! ns per operation: `sim/event_queue_schedule_pop_churn_32` is
+//! `sim.event_ns`, `mem/cache_probe_fill_sweep` is `mem.cache_probe_ns`,
+//! and `mem/tlb_fifo_sweep` is `mem.tlb_ns` (16,384 lookups per sweep
+//! there, 8,192 here before). This file keeps the ablation pairs (direct
+//! vs scheduled execution, packed vs byte tags), the warm 256-node mesh
+//! send, the event-queue chain, the `exec_access` hit, the payload build
+//! and the Stache miss path.
 
 use std::hint::black_box;
 
@@ -12,7 +22,7 @@ use tt_base::addr::PAGE_BYTES;
 use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE};
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, Topology, VAddr};
 use tt_bench::harness::Runner;
-use tt_mem::{AccessKind, CacheModel, FifoTlb, NodeMemory, PageTable, Tag};
+use tt_mem::{AccessKind, NodeMemory, PageTable, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
 use tt_sim::EventQueue;
 use tt_stache::StacheProtocol;
@@ -34,53 +44,6 @@ fn bench_event_queue_chain(r: &Runner) {
             }
         }
         black_box(sum)
-    });
-}
-
-/// Heap churn with many interleaved "nodes": schedule/pop with 32
-/// outstanding events at staggered times, the pattern a full-machine
-/// simulation produces. Exercises the slow (heap) path.
-fn bench_event_queue_churn(r: &Runner) {
-    r.bench("sim/event_queue_schedule_pop_churn_32", || {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut rng = DetRng::new(11);
-        for i in 0..32u64 {
-            q.schedule_at(Cycles::new(i % 7), i);
-        }
-        let mut acc = 0u64;
-        for _ in 0..20_000 {
-            let (now, ev) = q.pop().expect("queue never drains");
-            acc = acc.wrapping_add(ev);
-            q.schedule_at(now + Cycles::new(1 + rng.below(13)), ev);
-        }
-        while q.pop().is_some() {}
-        black_box(acc)
-    });
-}
-
-fn bench_cache_model(r: &Runner) {
-    r.bench("mem/cache_probe_fill_sweep", || {
-        let mut cache = CacheModel::new(64 * 1024, 4, 32, DetRng::new(1));
-        let mut hits = 0u64;
-        for i in 0..16_384u64 {
-            let key = (i * 7) % 4096;
-            if cache.probe(key).is_hit() {
-                hits += 1;
-            } else {
-                cache.fill(key, i % 2 == 0);
-            }
-        }
-        black_box(hits)
-    });
-    r.bench("mem/tlb_fifo_sweep", || {
-        let mut tlb = FifoTlb::new(64);
-        let mut hits = 0u64;
-        for i in 0..8_192u64 {
-            if tlb.access(tt_base::addr::Vpn(i % 96)) {
-                hits += 1;
-            }
-        }
-        black_box(hits)
     });
 }
 
@@ -286,8 +249,6 @@ fn bench_stache_miss_path(r: &Runner) {
 fn main() {
     let r = Runner::from_args();
     bench_event_queue_chain(&r);
-    bench_event_queue_churn(&r);
-    bench_cache_model(&r);
     bench_exec_access_hit(&r);
     bench_hit_run_direct_vs_scheduled(&r);
     bench_tag_check_packed_vs_byte(&r);

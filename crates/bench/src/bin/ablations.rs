@@ -30,27 +30,12 @@
 //! byte-identical for any `jobs` or `repeat` value (`--repeat N` takes
 //! min-of-N wall timings for stable throughput records).
 
-use std::time::Instant;
-
 use tt_base::table::Table;
 use tt_bench::cli;
 use tt_bench::json::PointRecord;
-use tt_bench::{
-    build_app, min_of_runs, par, run_system_min, sync_for, RunOutcome, System,
-};
+use tt_base::SystemConfig;
+use tt_bench::{build_app, measure, min_of_runs, par, run_system, sync_for, System};
 use tt_apps::{AppId, DataSet};
-
-/// A throughput record for one completed run.
-fn record(point: String, system: &str, out: &RunOutcome) -> PointRecord {
-    PointRecord {
-        point,
-        system: system.into(),
-        cycles: out.cycles.raw(),
-        wall_secs: out.wall_secs,
-        ops: out.ops,
-        extra: None,
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,7 +45,12 @@ fn main() {
     let app = AppId::Em3d;
     let set = DataSet::Small;
     let mut records: Vec<PointRecord> = Vec::new();
-    let sweep_start = Instant::now();
+    // Min-of-`repeat` run of `app` on its `set` data set at `scale`.
+    let run = |system: System, cfg: &SystemConfig, app: AppId, set: DataSet, scale: usize| {
+        min_of_runs(repeat, || {
+            run_system(system, cfg, build_app(app, set, scale, nodes, sync_for(app, system)))
+        })
+    };
 
     println!("ABLATION 1. Stache handler path length (EM3D small, {nodes} nodes, 1/{scale}).\n");
     let mut t = Table::new(vec!["handler cost x", "Typhoon/Stache vs DirNNB"]);
@@ -73,25 +63,21 @@ fn main() {
     // Task 0 is the shared DirNNB comparator; tasks 1.. sweep the factor.
     let outs = par::run_indexed(jobs, factors.len() + 1, |i| {
         if i == 0 {
-            run_system_min(System::Dirnnb, &base_cfg, repeat, || {
-                build_app(app, set, scale, nodes, sync_for(app, System::Dirnnb))
-            })
+            run(System::Dirnnb, &base_cfg, app, set, scale)
         } else {
             let mut cfg = base_cfg.clone();
             cfg.typhoon.handler_cost_scale = factors[i - 1];
-            run_system_min(System::TyphoonStache, &cfg, repeat, || {
-                build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
-            })
+            run(System::TyphoonStache, &cfg, app, set, scale)
         }
     });
     let dirnnb = outs[0].cycles;
-    records.push(record("ablation1 baseline".into(), "DirNNB", &outs[0]));
+    records.push(PointRecord::new("ablation1 baseline".into(), "DirNNB", &outs[0]));
     for (scale_factor, out) in factors.iter().zip(&outs[1..]) {
         t.row(vec![
             format!("{scale_factor:.1}"),
             format!("{:.3}", out.cycles.as_f64() / dirnnb.as_f64()),
         ]);
-        records.push(record(
+        records.push(PointRecord::new(
             format!("ablation1 handler x{scale_factor:.1}"),
             "Typhoon/Stache",
             out,
@@ -111,9 +97,7 @@ fn main() {
         } else {
             System::Dirnnb
         };
-        run_system_min(system, &cfg, repeat, || {
-            build_app(app, set, scale, nodes, sync_for(app, system))
-        })
+        run(system, &cfg, app, set, scale)
     });
     for (r, lat) in latencies.into_iter().enumerate() {
         let (ty, d) = (&outs[r * 2], &outs[r * 2 + 1]);
@@ -123,8 +107,8 @@ fn main() {
             d.cycles.to_string(),
             format!("{:.3}", ty.cycles.as_f64() / d.cycles.as_f64()),
         ]);
-        records.push(record(format!("ablation2 latency {lat}"), "Typhoon/Stache", ty));
-        records.push(record(format!("ablation2 latency {lat}"), "DirNNB", d));
+        records.push(PointRecord::new(format!("ablation2 latency {lat}"), "Typhoon/Stache", ty));
+        records.push(PointRecord::new(format!("ablation2 latency {lat}"), "DirNNB", d));
     }
     println!("{t}");
     println!("(paper: a slower network shrinks Typhoon's relative overhead)\n");
@@ -144,9 +128,7 @@ fn main() {
         } else {
             budgets[i] * 4096
         };
-        run_system_min(System::TyphoonStache, &cfg, repeat, || {
-            build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
-        })
+        run(System::TyphoonStache, &cfg, app, set, scale)
     });
     for (pages, out) in budgets.into_iter().zip(&outs) {
         let label = if pages == usize::MAX {
@@ -160,7 +142,7 @@ fn main() {
             format!("{}", out.report.get("stache.replacements").unwrap_or(0.0)),
             format!("{}", out.report.get("stache.writebacks_sent").unwrap_or(0.0)),
         ]);
-        records.push(record(format!("ablation3 budget {label}"), "Typhoon/Stache", out));
+        records.push(PointRecord::new(format!("ablation3 budget {label}"), "Typhoon/Stache", out));
     }
     println!("{t}");
 
@@ -170,9 +152,7 @@ fn main() {
     let outs = par::run_indexed(jobs, modes.len(), |i| {
         let mut cfg = base_cfg.clone();
         cfg.typhoon.np_mode = modes[i];
-        run_system_min(System::TyphoonStache, &cfg, repeat, || {
-            build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
-        })
+        run(System::TyphoonStache, &cfg, app, set, scale)
     });
     let base_cycles = outs[0].cycles.as_f64();
     for (mode, out) in modes.into_iter().zip(&outs) {
@@ -181,7 +161,7 @@ fn main() {
             out.cycles.to_string(),
             format!("{:.2}x", out.cycles.as_f64() / base_cycles),
         ]);
-        records.push(record(format!("ablation4 np {mode:?}"), "Typhoon/Stache", out));
+        records.push(PointRecord::new(format!("ablation4 np {mode:?}"), "Typhoon/Stache", out));
     }
     println!("{t}");
     println!("(the dedicated NP is the hardware investment the paper argues for)\n");
@@ -203,26 +183,22 @@ fn main() {
     // Task 0 is the shared Typhoon/Stache run; tasks 1.. sweep placement.
     let outs = par::run_indexed(jobs, placements.len() + 1, |i| {
         if i == 0 {
-            run_system_min(System::TyphoonStache, &base_cfg, repeat, || {
-                build_app(oapp, oset, scale, nodes, sync_for(oapp, System::TyphoonStache))
-            })
+            run(System::TyphoonStache, &base_cfg, oapp, oset, scale)
         } else {
             let mut cfg = base_cfg.clone();
             cfg.dirnnb.placement = placements[i - 1];
-            run_system_min(System::Dirnnb, &cfg, repeat, || {
-                build_app(oapp, oset, scale, nodes, sync_for(oapp, System::Dirnnb))
-            })
+            run(System::Dirnnb, &cfg, oapp, oset, scale)
         }
     });
     let ty = outs[0].cycles;
-    records.push(record("ablation5 baseline".into(), "Typhoon/Stache", &outs[0]));
+    records.push(PointRecord::new("ablation5 baseline".into(), "Typhoon/Stache", &outs[0]));
     for (placement, d) in placements.into_iter().zip(&outs[1..]) {
         t.row(vec![
             format!("{placement:?}"),
             d.cycles.to_string(),
             format!("{:.3}", ty.as_f64() / d.cycles.as_f64()),
         ]);
-        records.push(record(format!("ablation5 {placement:?}"), "DirNNB", d));
+        records.push(PointRecord::new(format!("ablation5 {placement:?}"), "DirNNB", d));
     }
     println!("{t}");
     println!("(the paper: first-touch-quality placement 'eliminates much of the\ndifference' — Stache gets that locality automatically)\n");
@@ -240,34 +216,28 @@ fn main() {
         // Task 0: transparent Stache; task 1: the custom push protocol.
         let outs = par::run_indexed(jobs, 2, |i| {
             min_of_runs(repeat, || {
-                let start = Instant::now();
-                let r = if i == 0 {
-                    TyphoonMachine::new(
-                        base_cfg.clone(),
-                        Box::new(PhasedWorkload::new(Ocean::new(p.clone()))),
-                        &|id, layout, cfg| Box::new(StacheProtocol::new(id, layout, cfg)),
-                    )
-                    .run()
-                } else {
-                    let mut p = p.clone();
-                    p.sync = OceanSync::Push;
-                    TyphoonMachine::new(
-                        base_cfg.clone(),
-                        Box::new(PhasedWorkload::new(Ocean::new(p))),
-                        &|id, layout, cfg| Box::new(DelayedUpdateProtocol::new(id, layout, cfg)),
-                    )
-                    .run()
-                };
-                let wall_secs = start.elapsed().as_secs_f64();
-                let ops = r.report.get("cpu.ops").unwrap_or(0.0) as u64;
-                RunOutcome {
-                    cycles: r.cycles,
-                    report: r.report,
-                    wall_secs,
-                    ops,
-                    peak_bytes: 0,
-                    allocs: 0,
-                }
+                measure(|| {
+                    let r = if i == 0 {
+                        TyphoonMachine::new(
+                            base_cfg.clone(),
+                            Box::new(PhasedWorkload::new(Ocean::new(p.clone()))),
+                            &|id, layout, cfg| Box::new(StacheProtocol::new(id, layout, cfg)),
+                        )
+                        .run()
+                    } else {
+                        let mut p = p.clone();
+                        p.sync = OceanSync::Push;
+                        TyphoonMachine::new(
+                            base_cfg.clone(),
+                            Box::new(PhasedWorkload::new(Ocean::new(p))),
+                            &|id, layout, cfg| {
+                                Box::new(DelayedUpdateProtocol::new(id, layout, cfg))
+                            },
+                        )
+                        .run()
+                    };
+                    (r.cycles, r.report, None)
+                })
             })
         });
         for (name, r) in [("Typhoon/Stache", &outs[0]), ("Typhoon/Push", &outs[1])] {
@@ -276,7 +246,7 @@ fn main() {
                 r.cycles.to_string(),
                 format!("{}", r.report.get("net.packets").unwrap_or(0.0)),
             ]);
-            records.push(record("ablation6 ocean push".into(), name, r));
+            records.push(PointRecord::new("ablation6 ocean push".into(), name, r));
         }
     }
     println!("{t}");
@@ -297,9 +267,7 @@ fn main() {
         } else {
             System::Dirnnb
         };
-        run_system_min(system, &cfg, repeat, || {
-            build_app(app, set, scale, nodes, sync_for(app, system))
-        })
+        run(system, &cfg, app, set, scale)
     });
     for (r, occ) in occupancies.into_iter().enumerate() {
         let (ty, d) = (&outs[r * 2], &outs[r * 2 + 1]);
@@ -309,16 +277,11 @@ fn main() {
             d.cycles.to_string(),
             format!("{:.3}", ty.cycles.as_f64() / d.cycles.as_f64()),
         ]);
-        records.push(record(format!("ablation7 occupancy {occ}"), "Typhoon/Stache", ty));
-        records.push(record(format!("ablation7 occupancy {occ}"), "DirNNB", d));
+        records.push(PointRecord::new(format!("ablation7 occupancy {occ}"), "Typhoon/Stache", ty));
+        records.push(PointRecord::new(format!("ablation7 occupancy {occ}"), "DirNNB", d));
     }
     println!("{t}");
     println!("(the paper's zero-contention network is the occupancy-0 row; the\nDirNNB cost model abstracts injection, so only Typhoon moves)");
 
-    let total_wall_secs = sweep_start.elapsed().as_secs_f64();
-    eprintln!(
-        "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
-        n = records.len(),
-    );
-    cli.write_json("ablations", total_wall_secs, &records);
+    cli.finish("ablations", &records);
 }

@@ -14,33 +14,10 @@
 //! sweeps (`--nodes 64|256|1024 --topology mesh`) use `--apps` to bound
 //! the grid and read cost-per-node metrics from the `--json` report.
 
-use std::time::Instant;
-
 use tt_base::table::Table;
 use tt_bench::cli::{self, CliError};
-use tt_bench::json::PointRecord;
-use tt_bench::{RunStats, FIGURE3_POINTS};
+use tt_bench::FIGURE3_POINTS;
 use tt_apps::AppId;
-
-/// Big-machine cost-per-node metrics as a JSON fragment: host
-/// microseconds per simulated node per kilocycle, and the heap
-/// high-water mark over the run (attributable per-run only at
-/// `--jobs 1`; see EXPERIMENTS.md).
-fn cost_fragment(nodes: usize, cycles: u64, s: &RunStats) -> Option<String> {
-    let us_per_node_kcycle = if cycles > 0 {
-        s.wall_secs * 1e6 / nodes as f64 / (cycles as f64 / 1000.0)
-    } else {
-        0.0
-    };
-    Some(format!(
-        "\"cost\": {{\"us_per_node_kilocycle\": {:.4}, \"peak_bytes\": {}, \
-         \"bytes_per_node\": {}, \"allocs\": {}}}",
-        us_per_node_kcycle,
-        s.peak_bytes,
-        s.peak_bytes / nodes as u64,
-        s.allocs,
-    ))
-}
 
 /// Parses a comma-separated `--apps` list against the app names.
 fn parse_apps(list: &str) -> Result<Vec<AppId>, CliError> {
@@ -74,9 +51,7 @@ fn main() {
         nodes = cli.nodes,
         scale = cli.scale,
     );
-    let start = Instant::now();
     let points = tt_bench::figure3_sweep(&apps, cli.scale, &cfg, cli.jobs, cli.repeat);
-    let total_wall_secs = start.elapsed().as_secs_f64();
 
     let mut table = Table::new(vec![
         "benchmark",
@@ -101,23 +76,7 @@ fn main() {
                 point.dirnnb,
                 point.relative()
             );
-            let name = format!("{} {}/{}K", app, set, cache / 1024);
-            records.push(PointRecord {
-                point: name.clone(),
-                system: "Typhoon/Stache".into(),
-                cycles: point.typhoon.raw(),
-                wall_secs: point.typhoon_stats.wall_secs,
-                ops: point.typhoon_stats.ops,
-                extra: cost_fragment(cli.nodes, point.typhoon.raw(), &point.typhoon_stats),
-            });
-            records.push(PointRecord {
-                point: name,
-                system: "DirNNB".into(),
-                cycles: point.dirnnb.raw(),
-                wall_secs: point.dirnnb_stats.wall_secs,
-                ops: point.dirnnb_stats.ops,
-                extra: cost_fragment(cli.nodes, point.dirnnb.raw(), &point.dirnnb_stats),
-            });
+            records.extend(point.records.iter().cloned());
         }
         table.row(row);
     }
@@ -126,10 +85,5 @@ fn main() {
         "(paper: all bars <= ~1.3; Typhoon/Stache wins by up to ~25% when the\n\
          data set exceeds the CPU cache — small/4K and large/256K columns)"
     );
-    eprintln!(
-        "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
-        n = records.len(),
-        jobs = cli.jobs,
-    );
-    cli.write_json("figure3", total_wall_secs, &records);
+    cli.finish("figure3", &records);
 }

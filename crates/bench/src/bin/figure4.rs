@@ -10,12 +10,9 @@
 //! `--repeat` value; `--repeat N` reruns each point N times and reports
 //! min-of-N wall timings for stable `sim_cycles_per_sec`.
 
-use std::time::Instant;
-
 use tt_base::table::Table;
 use tt_bench::cli;
-use tt_bench::json::PointRecord;
-use tt_bench::{figure4_sweep, FIGURE4_SYSTEMS};
+use tt_bench::figure4_sweep;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,9 +25,7 @@ fn main() {
         nodes = cli.nodes,
         scale = cli.scale,
     );
-    let start = Instant::now();
     let points = figure4_sweep(cli.scale, &cfg, cli.jobs, cli.repeat);
-    let total_wall_secs = start.elapsed().as_secs_f64();
 
     let mut table = Table::new(vec![
         "% non-local edges",
@@ -50,16 +45,7 @@ fn main() {
             format!("{:+.1}%", (u / d - 1.0) * 100.0),
         ]);
         eprintln!("  {pct:.0}% done", pct = p.pct_remote * 100.0);
-        for (i, system) in FIGURE4_SYSTEMS.into_iter().enumerate() {
-            records.push(PointRecord {
-                point: format!("{:.0}% remote", p.pct_remote * 100.0),
-                system: system.name().into(),
-                cycles: p.cycles[i].raw(),
-                wall_secs: p.stats[i].wall_secs,
-                ops: p.stats[i].ops,
-                extra: None,
-            });
-        }
+        records.extend(p.records.iter().cloned());
     }
     println!("{table}");
     println!(
@@ -67,10 +53,5 @@ fn main() {
          up to ~35% at 50% non-local edges, and the advantage grows with the\n\
          remote fraction)"
     );
-    eprintln!(
-        "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
-        n = records.len(),
-        jobs = cli.jobs,
-    );
-    cli.write_json("figure4", total_wall_secs, &records);
+    cli.finish("figure4", &records);
 }

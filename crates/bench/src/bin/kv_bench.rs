@@ -20,14 +20,12 @@
 //! table gains a retransmission column; at the default rate 0 nothing
 //! is wrapped and the output is byte-identical to a fault-free build.
 
-use std::time::Instant;
-
 use tt_apps::run_kv_update;
 use tt_base::table::Table;
 use tt_base::{FaultSpec, SystemConfig};
-use tt_bench::json::PointRecord;
-use tt_bench::{cli, par};
-use tt_serve::{run_kv_stache, KvOutcome, KvParams, KvVariant};
+use tt_bench::json::{FaultRecord, KvRecord, PointRecord};
+use tt_bench::{cli, measure, min_of_runs, par, RunOutcome};
+use tt_serve::{run_kv_stache, KvParams, KvVariant};
 
 /// Request mixes swept: percent of requests that are puts.
 const MIXES: [u32; 2] = [5, 50];
@@ -57,20 +55,15 @@ fn params(kv: &KvCli, nodes: usize, mix: u32, skew: f64, variant: KvVariant) -> 
     p
 }
 
-fn run_variant(cfg: &SystemConfig, p: &KvParams) -> KvOutcome {
-    match p.variant {
-        KvVariant::Stache => run_kv_stache(cfg, p),
-        KvVariant::Update => run_kv_update(cfg, p),
-    }
-}
-
-/// One completed sweep point.
-struct Point {
-    mix: u32,
-    skew: f64,
-    variant: KvVariant,
-    out: KvOutcome,
-    wall_secs: f64,
+/// One timed run of `p` (its latencies ride along in the outcome).
+fn run_variant(cfg: &SystemConfig, p: &KvParams) -> RunOutcome {
+    measure(|| {
+        let out = match p.variant {
+            KvVariant::Stache => run_kv_stache(cfg, p),
+            KvVariant::Update => run_kv_update(cfg, p),
+        };
+        (out.cycles, out.report, Some(out.lat))
+    })
 }
 
 fn main() {
@@ -135,31 +128,14 @@ fn main() {
             }
         }
     }
-    let start = Instant::now();
-    let points: Vec<Point> = par::run_indexed(shared.jobs, grid.len(), |i| {
+    let runs: Vec<RunOutcome> = par::run_indexed(shared.jobs, grid.len(), |i| {
         let (mix, skew, variant) = grid[i];
         let p = params(&kv, shared.nodes, mix, skew, variant);
-        let run = || {
-            let t = Instant::now();
-            let out = run_variant(&cfg, &p);
-            (out, t.elapsed().as_secs_f64())
-        };
-        let (mut out, mut wall_secs) = run();
-        for _ in 1..shared.repeat.max(1) {
-            let (again, wall) = run();
-            assert_eq!(out.cycles, again.cycles, "repeated KV run diverged");
-            assert_eq!(out.lat, again.lat, "repeated KV latencies diverged");
-            if wall < wall_secs {
-                out = again;
-                wall_secs = wall;
-            }
-        }
-        Point { mix, skew, variant, out, wall_secs }
+        min_of_runs(shared.repeat, || run_variant(&cfg, &p))
     });
-    let total_wall_secs = start.elapsed().as_secs_f64();
 
     // The retransmission column exists only on lossy sweeps: at
-    // --fault-rate 0 the table (and JSON `extra`) must stay
+    // --fault-rate 0 the table (and the JSON `kv` block) must stay
     // byte-identical to a fault-free build.
     let mut columns = vec![
         "mix", "skew", "server", "cycles", "req/kcyc", "get p50", "get p99",
@@ -170,64 +146,34 @@ fn main() {
     }
     let mut table = Table::new(columns);
     let mut records = Vec::new();
-    for p in &points {
-        let (get, put) = (&p.out.lat.get, &p.out.lat.put);
+    for (&(write_pct, skew, variant), mut out) in grid.iter().zip(runs) {
+        let lat = out.lat.take().expect("KV runs record latencies");
+        let mix = format!("{}/{}", 100 - write_pct, write_pct);
+        let requests_per_kcycle = lat.requests_per_kcycle(out.cycles);
+        let retransmits = out.report.get("rel.retransmits").unwrap_or(0.0) as u64;
         let mut row = vec![
-            format!("{}/{}", 100 - p.mix, p.mix),
-            format!("{:.1}", p.skew),
-            p.variant.name().into(),
-            format!("{}", p.out.cycles.raw()),
-            format!("{:.3}", p.out.requests_per_kcycle()),
-            format!("{}", get.quantile(0.50)),
-            format!("{}", get.quantile(0.99)),
-            format!("{}", get.quantile(0.999)),
-            format!("{}", put.quantile(0.50)),
-            format!("{}", put.quantile(0.99)),
-            format!("{}", put.quantile(0.999)),
+            mix.clone(),
+            format!("{skew:.1}"),
+            variant.name().into(),
+            out.cycles.raw().to_string(),
+            format!("{requests_per_kcycle:.3}"),
         ];
+        for h in [&lat.get, &lat.put] {
+            row.extend([0.50, 0.99, 0.999].map(|q| h.quantile(q).to_string()));
+        }
         if faulty {
-            row.push(format!("{}", p.out.report.get("rel.retransmits").unwrap_or(0.0) as u64));
+            row.push(format!("{retransmits}"));
         }
         table.row(row);
-        let mut extra = format!(
-            "\"kv\": {{\"mix\": \"{}/{}\", \"skew\": {:.2}, \"keys\": {}, \
-             \"requests\": {}, \"requests_per_kcycle\": {:.4}, \
-             \"get\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"mean\": {:.1}, \"max\": {}}}, \
-             \"put\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"mean\": {:.1}, \"max\": {}}}}}",
-            100 - p.mix,
-            p.mix,
-            p.skew,
-            kv.keys,
-            p.out.lat.requests(),
-            p.out.requests_per_kcycle(),
-            get.quantile(0.50),
-            get.quantile(0.99),
-            get.quantile(0.999),
-            get.mean(),
-            get.max(),
-            put.quantile(0.50),
-            put.quantile(0.99),
-            put.quantile(0.999),
-            put.mean(),
-            put.max(),
-        );
-        if faulty {
-            extra = format!(
-                "{}, \"fault\": {{\"rate_permille\": {}, \"retransmits\": {}, \
-                 \"sent\": {}}}",
-                &extra[..extra.len() - 1],
-                kv.fault_permille,
-                p.out.report.get("rel.retransmits").unwrap_or(0.0) as u64,
-                p.out.report.get("rel.sent").unwrap_or(0.0) as u64,
-            ) + "}";
-        }
+        let fault = faulty.then(|| FaultRecord {
+            rate_permille: kv.fault_permille,
+            retransmits,
+            sent: out.report.get("rel.sent").unwrap_or(0.0) as u64,
+        });
+        let record = PointRecord::new(format!("{mix} skew {skew:.1}"), variant.name(), &out);
         records.push(PointRecord {
-            point: format!("{}/{} skew {:.1}", 100 - p.mix, p.mix, p.skew),
-            system: p.variant.name().into(),
-            cycles: p.out.cycles.raw(),
-            wall_secs: p.wall_secs,
-            ops: p.out.report.get("cpu.ops").unwrap_or(0.0) as u64,
-            extra: Some(extra),
+            kv: Some(KvRecord { mix, skew, keys: kv.keys, requests_per_kcycle, lat, fault }),
+            ..record
         });
     }
     println!("{table}");
@@ -238,10 +184,5 @@ fn main() {
          to every sharer, which inverts the verdict for write-heavy mixes on\n\
          large machines)"
     );
-    eprintln!(
-        "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
-        n = points.len(),
-        jobs = shared.jobs,
-    );
-    shared.write_json("kv_bench", total_wall_secs, &records);
+    shared.finish("kv_bench", &records);
 }

@@ -41,8 +41,8 @@
 use std::time::Instant;
 
 use tt_bench::cli::{self, CliError};
-use tt_bench::json::{escape, git_rev, hostname};
-use tt_check::{fuzz, run_seed, shrink, Failure, Family, FuzzOptions};
+use tt_bench::json::{git_rev, hostname, Json};
+use tt_check::{fuzz, run_seed, shrink, Failure, Family, FuzzOptions, Shape};
 
 const USAGE: &str = "tt-check run [--seeds N] [--base B] \
      [--topology ideal|mesh[:W]|fat-tree[:A]] \
@@ -114,72 +114,46 @@ fn words(family: Family) -> (&'static str, &'static str, &'static str) {
     }
 }
 
-/// A JSON object, one `"key": value` per line, closing at `indent`.
-fn object(indent: &str, fields: &[(&str, String)]) -> String {
-    let body: Vec<String> =
-        fields.iter().map(|(k, v)| format!("{indent}  \"{k}\": {v}")).collect();
-    format!("{{\n{}\n{indent}}}", body.join(",\n"))
-}
-
-/// A JSON object on one line.
-fn inline<V: ToString>(fields: &[(&str, V)]) -> String {
-    let body: Vec<String> =
-        fields.iter().map(|(k, v)| format!("\"{k}\": {}", v.to_string())).collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-fn fault_json(fault: &Option<tt_base::FaultSpec>) -> String {
-    fault.map_or("null".into(), |fs| {
-        inline(&[
-            ("seed", fs.seed),
-            ("drop_permille", fs.drop_permille.into()),
-            ("dup_permille", fs.dup_permille.into()),
-            ("corrupt_permille", fs.corrupt_permille.into()),
-            ("partition_permille", fs.partition_permille.into()),
-        ])
-    })
-}
-
-fn failure_json(f: &Failure) -> String {
-    let mut fields = vec![("seed", f.seed.to_string()), ("stage", escape(f.stage))];
-    fields.extend(f.shape.fields().into_iter().map(|(k, v)| (k, v.to_string())));
-    fields.extend([
-        ("fault", fault_json(&f.perturb.fault)),
-        ("message", escape(&f.message)),
-        ("shrunk", f.shrunk.as_ref().map_or("null".into(), |s| inline(&s.fields()))),
-        (
-            "shrunk_fault",
-            f.shrunk_perturb.as_ref().map_or("null".into(), |p| fault_json(&p.fault)),
-        ),
-    ]);
-    object("  ", &fields)
-}
-
 fn write_report(path: &str, a: &Args, seeds_run: u64, wall: f64, failure: Option<&Failure>) {
     let o = &a.options;
-    let report = object(
-        "",
-        &[
-            ("tool", escape("tt-check")),
-            ("git_rev", escape(&git_rev())),
-            ("hostname", escape(&hostname())),
-            ("base_seed", a.base.to_string()),
-            ("seeds_requested", a.seeds.to_string()),
-            ("seeds_run", seeds_run.to_string()),
-            ("planted_bug", o.planted_bug.to_string()),
-            ("faults", (o.faults || o.fault_seed.is_some()).to_string()),
-            ("fault_seed", o.fault_seed.map_or("null".into(), |f| f.to_string())),
-            ("wall_secs", format!("{wall:.3}")),
-            ("clean", failure.is_none().to_string()),
-            ("failure", failure.map_or("null".into(), failure_json)),
-        ],
-    );
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::fs::write(path, report + "\n").expect("write report");
+    let fault = |fault: Option<tt_base::FaultSpec>| {
+        Json::from(fault.map(|fs| {
+            Json::object([
+                ("seed", fs.seed.into()),
+                ("drop_permille", fs.drop_permille.into()),
+                ("dup_permille", fs.dup_permille.into()),
+                ("corrupt_permille", fs.corrupt_permille.into()),
+                ("partition_permille", fs.partition_permille.into()),
+            ])
+        }))
+    };
+    let shape = |s: &Shape| s.fields().into_iter().map(|(k, v)| (k, Json::from(v)));
+    let failure = failure.map(|f| {
+        let mut fields = vec![("seed", f.seed.into()), ("stage", f.stage.into())];
+        fields.extend(shape(&f.shape));
+        fields.extend([
+            ("fault", fault(f.perturb.fault)),
+            ("message", f.message.as_str().into()),
+            ("shrunk", f.shrunk.as_ref().map(|s| Json::object(shape(s))).into()),
+            ("shrunk_fault", f.shrunk_perturb.as_ref().map(|p| fault(p.fault)).into()),
+        ]);
+        Json::object(fields)
+    });
+    let report = Json::object([
+        ("tool", "tt-check".into()),
+        ("git_rev", git_rev().into()),
+        ("hostname", hostname().into()),
+        ("base_seed", a.base.into()),
+        ("seeds_requested", a.seeds.into()),
+        ("seeds_run", seeds_run.into()),
+        ("planted_bug", o.planted_bug.into()),
+        ("faults", (o.faults || o.fault_seed.is_some()).into()),
+        ("fault_seed", o.fault_seed.into()),
+        ("wall_secs", Json::Float(wall, 3)),
+        ("clean", failure.is_none().into()),
+        ("failure", failure.into()),
+    ]);
+    report.write(std::path::Path::new(path)).expect("write report");
     eprintln!("tt-check: report written to {path}");
 }
 

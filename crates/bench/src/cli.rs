@@ -3,14 +3,15 @@
 //! `figure3`, `figure4`, `ablations`, and `kv_bench` all take the same
 //! simulator knobs (`--jobs`, `--repeat`, `--topology`, `--json`, ...);
 //! this module parses them once into a [`Cli`] and owns the equally
-//! repetitive tail — the
-//! [`SweepMeta`] header and `--json` report write. Binaries with extra
-//! flags hook them in through [`parse_cli_with`] instead of forking the
-//! parser.
+//! repetitive tail, [`Cli::finish`]: the sweep summary line and the
+//! `--json` report. Binaries with extra flags hook them in through
+//! [`parse_cli_with`] instead of forking the parser.
+
+use std::time::Instant;
 
 use tt_base::{SystemConfig, Topology};
 
-use crate::json::{write_report, PointRecord, SweepMeta};
+use crate::json::{git_rev, hostname, Json, PointRecord};
 use crate::{bench_config, par};
 
 /// Command-line options shared by the figure/ablation binaries.
@@ -32,6 +33,8 @@ pub struct Cli {
     pub topology: Topology,
     /// Where to write the machine-readable run report, if anywhere.
     pub json: Option<std::path::PathBuf>,
+    /// When the command line was parsed: the sweep's wall-clock start.
+    pub started: Instant,
 }
 
 impl Cli {
@@ -43,25 +46,39 @@ impl Cli {
         cfg
     }
 
-    /// The [`SweepMeta`] header for this invocation's report.
-    pub fn sweep_meta(&self, figure: &str, total_wall_secs: f64) -> SweepMeta {
-        SweepMeta {
-            figure: figure.into(),
-            nodes: self.nodes,
-            scale: self.scale,
-            jobs: self.jobs,
-            repeat: self.repeat,
-            topology: self.topology,
-            total_wall_secs,
-        }
+    /// The `--json` report of a sweep (schema in [`crate::json`]):
+    /// the invocation's shape and provenance, then one record per run.
+    pub fn report(&self, figure: &str, total_wall_secs: f64, records: &[PointRecord]) -> Json {
+        Json::object([
+            ("figure", figure.into()),
+            ("git_rev", git_rev().into()),
+            ("host", hostname().into()),
+            ("nodes", self.nodes.into()),
+            ("scale", self.scale.into()),
+            ("jobs", self.jobs.into()),
+            ("repeat", self.repeat.into()),
+            ("topology", self.topology.as_string().into()),
+            ("total_wall_secs", Json::Float(total_wall_secs, 6)),
+            (
+                "points",
+                Json::Array(records.iter().map(PointRecord::to_json).collect()),
+            ),
+        ])
     }
 
-    /// Writes the `--json` report if one was requested (the shared tail
-    /// of every harness binary).
-    pub fn write_json(&self, figure: &str, total_wall_secs: f64, records: &[PointRecord]) {
+    /// The shared tail of every sweep binary: prints the `sweep: N runs`
+    /// summary to stderr, then writes the `--json` report if one was
+    /// requested.
+    pub fn finish(&self, figure: &str, records: &[PointRecord]) {
+        let total_wall_secs = self.started.elapsed().as_secs_f64();
+        eprintln!(
+            "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
+            n = records.len(),
+            jobs = self.jobs,
+        );
         if let Some(path) = &self.json {
-            let meta = self.sweep_meta(figure, total_wall_secs);
-            write_report(path, &meta, records).expect("write --json report");
+            let report = self.report(figure, total_wall_secs, records);
+            report.write(path).expect("write --json report");
             eprintln!("  wrote {}", path.display());
         }
     }
@@ -123,6 +140,7 @@ pub fn parse_cli_with(
         repeat: 1,
         topology: Topology::Ideal,
         json: None,
+        started: Instant::now(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -218,15 +236,25 @@ mod tests {
     }
 
     #[test]
-    fn sweep_meta_mirrors_the_cli() {
-        let args = strs(&["--repeat", "3", "--jobs", "2"]);
-        let cli = parse_cli(&args, 7).unwrap();
-        let meta = cli.sweep_meta("figX", 1.5);
-        assert_eq!(meta.figure, "figX");
-        assert_eq!(meta.scale, 7);
-        assert_eq!(meta.repeat, 3);
-        assert_eq!(meta.jobs, 2);
-        assert_eq!(meta.topology, Topology::Ideal);
+    fn report_header_mirrors_the_cli() {
+        let args = strs(&["--repeat", "3", "--jobs", "2", "--topology", "mesh"]);
+        let text = parse_cli(&args, 7)
+            .unwrap()
+            .report("figX", 0.123, &[])
+            .render();
+        for field in [
+            "\"figure\": \"figX\"",
+            "\"scale\": 7",
+            "\"jobs\": 2",
+            "\"repeat\": 3",
+            "\"topology\": \"mesh\"",
+            "\"total_wall_secs\": 0.123000",
+            "\"git_rev\": ",
+            "\"host\": ",
+            "\"points\": []",
+        ] {
+            assert!(text.contains(field), "{field} missing from {text}");
+        }
     }
 
     #[test]

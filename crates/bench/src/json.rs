@@ -1,21 +1,175 @@
-//! Machine-readable benchmark output (`--json <path>`).
+//! Machine-readable run reports (`--json PATH`, `tt-check --out PATH`):
+//! one typed value, [`Json`], and one renderer. Hand-rolled because the
+//! build has no crates.io access (no `serde`).
 //!
-//! Simulated results (cycle counts) are deterministic and comparable
-//! across machines; wall-clock throughput is not, but it is exactly what
-//! the hot-path optimization work needs to track. The `--json` flag on
-//! the figure/ablation binaries writes both: one record per (point,
-//! system) simulation run with its cycle count, wall seconds, and the
-//! derived simulated-cycles/sec and ops/sec rates.
+//! [`Json::render`] fixes the layout: the top-level object and the
+//! containers directly inside it put one entry per line, deeper values
+//! stay on one line, so a sweep report has one point record per line.
 //!
-//! The format is deliberately tiny and hand-rolled — the build container
-//! has no crates.io access, so `serde` is not available.
+//! # Sweep report schema
+//!
+//! The header holds the sweep shape and provenance: `figure`, `git_rev`,
+//! `host`, `nodes`, `scale`, `jobs`, `repeat`, `topology`,
+//! `total_wall_secs`. Then `points` has one [`PointRecord`] per run:
+//!
+//! - `point`, `system` (strings): the sweep coordinate, e.g.
+//!   `"barnes small/64K"`, and the system, e.g. `"Typhoon/Stache"`;
+//! - `cycles` (integer): simulated execution time;
+//! - `wall_secs`: host seconds the run took (min of `repeat` runs);
+//! - `ops` (integer): workload ops the simulated CPUs executed;
+//! - `sim_cycles_per_sec`, `ops_per_sec`: rates derived from the above;
+//! - `cost` (figure3 only, [`Cost`]): `us_per_node_kilocycle`,
+//!   `peak_bytes`, `bytes_per_node`, `allocs`; the heap counters are
+//!   process-global, so they belong to one run only at `--jobs 1`;
+//! - `kv` (kv_bench only, [`KvRecord`]): `mix`, `skew`, `keys`,
+//!   `requests`, `requests_per_kcycle`, and `get`/`put` latencies in
+//!   simulated cycles (`p50`, `p99`, `p999`, `mean`, `max`); a
+//!   `--fault-rate` sweep adds `kv.fault` ([`FaultRecord`]):
+//!   `rate_permille`, `retransmits`, `sent`.
+//!
+//! Wall times, the rates, `cost` and the provenance strings depend on
+//! the host or on `--jobs`; every other value is bit-reproducible.
 
-use std::io::Write;
+use std::fmt::Write as _;
 use std::path::Path;
 
-use tt_base::Topology;
+use tt_serve::KvLatency;
 
-/// One simulation run inside a sweep.
+use crate::RunOutcome;
+
+/// A JSON value. Objects keep their keys in insertion order.
+#[derive(Clone, Debug)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A non-negative integer.
+    Int(u64),
+    /// A number printed with a fixed count of decimals.
+    Float(f64, usize),
+    /// A string (escaped on output).
+    Str(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, keys in insertion order.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+        Json::Object(fields.collect())
+    }
+
+    /// The value as text: containers at depth 0 and 1 put one entry per
+    /// line (indented two spaces per level), deeper ones stay on one
+    /// line as `{"k": v, "k2": v2}`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, 0);
+        out
+    }
+
+    fn render_into(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => write!(out, "{b}").unwrap(),
+            Json::Int(n) => write!(out, "{n}").unwrap(),
+            Json::Float(x, decimals) => write!(out, "{x:.decimals$}").unwrap(),
+            Json::Str(s) => escape_into(out, s),
+            Json::Array(items) => render_entries(out, depth, "[]", items.iter().map(|v| (None, v))),
+            Json::Object(fields) => {
+                let entries = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+                render_entries(out, depth, "{}", entries)
+            }
+        }
+    }
+
+    /// Writes the rendered value plus a final newline to `path`,
+    /// creating parent directories.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        if let Some(dir) = path.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)?;
+            }
+        }
+        std::fs::write(path, self.render() + "\n")
+    }
+}
+
+/// The entries of an array (no keys) or object, one per line at depth
+/// 0 and 1 and inline deeper.
+fn render_entries<'a>(
+    out: &mut String,
+    depth: usize,
+    brackets: &str,
+    entries: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let multiline = depth < 2 && entries.len() > 0;
+    let newline = |out: &mut String, level: usize| {
+        if multiline {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', 2 * level));
+        }
+    };
+    out.push_str(&brackets[..1]);
+    for (i, (key, value)) in entries.enumerate() {
+        if i > 0 {
+            out.push_str(if multiline { "," } else { ", " });
+        }
+        newline(out, depth + 1);
+        if let Some(key) = key {
+            escape_into(out, key);
+            out.push_str(": ");
+        }
+        value.render_into(out, depth + 1);
+    }
+    newline(out, depth);
+    out.push_str(&brackets[1..]);
+}
+
+/// Appends `s` as a JSON string literal with the required escapes.
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {
+        $(impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        })*
+    };
+}
+
+json_from! {
+    &str => |s| Json::Str(s.to_string()),
+    String => |s| Json::Str(s),
+    bool => |b| Json::Bool(b),
+    u64 => |n| Json::Int(n),
+    u32 => |n| Json::Int(n.into()),
+    usize => |n| Json::Int(n as u64),
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// One simulation run inside a sweep (see the module doc for its JSON).
 #[derive(Clone, Debug)]
 pub struct PointRecord {
     /// Sweep coordinate, e.g. `"barnes small/64K"` or `"30% remote"`.
@@ -28,13 +182,65 @@ pub struct PointRecord {
     pub wall_secs: f64,
     /// Workload ops the simulated CPUs executed (`cpu.ops`).
     pub ops: u64,
-    /// Binary-specific additions, as a raw `"key": value` JSON fragment
-    /// appended to the record object (e.g. `kv_bench` latency
-    /// percentiles). `None` adds nothing.
-    pub extra: Option<String>,
+    /// Host cost per simulated node (figure3).
+    pub cost: Option<Cost>,
+    /// Request latencies (kv_bench).
+    pub kv: Option<KvRecord>,
+}
+
+/// The `cost` block: big-machine cost-per-node metrics of one run.
+#[derive(Clone, Copy, Debug)]
+pub struct Cost {
+    /// Simulated machine size.
+    pub nodes: usize,
+    /// Heap high-water mark over the run ([`RunOutcome::peak_bytes`]).
+    pub peak_bytes: u64,
+    /// Heap allocation events during the run.
+    pub allocs: u64,
+}
+
+/// The `kv` block: one KV sweep point's request latencies.
+#[derive(Clone, Debug)]
+pub struct KvRecord {
+    /// Read/write mix label, e.g. `"95/5"`.
+    pub mix: String,
+    /// Zipf skew.
+    pub skew: f64,
+    /// Key-space size.
+    pub keys: u64,
+    /// Requests served per thousand simulated cycles.
+    pub requests_per_kcycle: f64,
+    /// Get and put latency histograms.
+    pub lat: KvLatency,
+    /// Lossy-network counters, on `--fault-rate` sweeps only.
+    pub fault: Option<FaultRecord>,
+}
+
+/// The `kv.fault` block of a lossy KV point.
+#[derive(Clone, Copy, Debug)]
+pub struct FaultRecord {
+    /// Drop/duplicate rate in permille.
+    pub rate_permille: u32,
+    /// Reliable-transport retransmissions (`rel.retransmits`).
+    pub retransmits: u64,
+    /// Reliable-transport packets sent (`rel.sent`).
+    pub sent: u64,
 }
 
 impl PointRecord {
+    /// The record of `run`, with no `cost` or `kv` block.
+    pub fn new(point: String, system: &str, run: &RunOutcome) -> PointRecord {
+        PointRecord {
+            point,
+            system: system.into(),
+            cycles: run.cycles.raw(),
+            wall_secs: run.wall_secs,
+            ops: run.ops,
+            cost: None,
+            kv: None,
+        }
+    }
+
     /// Simulated cycles advanced per host second.
     pub fn sim_cycles_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
@@ -53,23 +259,66 @@ impl PointRecord {
         }
     }
 
-    fn to_json(&self) -> String {
-        let extra = match &self.extra {
-            None => String::new(),
-            Some(frag) => format!(", {frag}"),
-        };
-        format!(
-            "    {{\"point\": {}, \"system\": {}, \"cycles\": {}, \
-             \"wall_secs\": {:.6}, \"ops\": {}, \
-             \"sim_cycles_per_sec\": {:.1}, \"ops_per_sec\": {:.1}{extra}}}",
-            escape(&self.point),
-            escape(&self.system),
-            self.cycles,
-            self.wall_secs,
-            self.ops,
-            self.sim_cycles_per_sec(),
-            self.ops_per_sec(),
-        )
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let float = Json::Float;
+        let mut fields = vec![
+            ("point", self.point.as_str().into()),
+            ("system", self.system.as_str().into()),
+            ("cycles", self.cycles.into()),
+            ("wall_secs", float(self.wall_secs, 6)),
+            ("ops", self.ops.into()),
+            ("sim_cycles_per_sec", float(self.sim_cycles_per_sec(), 1)),
+            ("ops_per_sec", float(self.ops_per_sec(), 1)),
+        ];
+        if let Some(c) = &self.cost {
+            let us_per_node_kilocycle = if self.cycles > 0 {
+                self.wall_secs * 1e6 / c.nodes as f64 / (self.cycles as f64 / 1000.0)
+            } else {
+                0.0
+            };
+            fields.push((
+                "cost",
+                Json::object([
+                    ("us_per_node_kilocycle", float(us_per_node_kilocycle, 4)),
+                    ("peak_bytes", c.peak_bytes.into()),
+                    ("bytes_per_node", (c.peak_bytes / c.nodes as u64).into()),
+                    ("allocs", c.allocs.into()),
+                ]),
+            ));
+        }
+        if let Some(kv) = &self.kv {
+            let latency = |h: &tt_base::stats::LatHistogram| {
+                Json::object([
+                    ("p50", h.quantile(0.50).into()),
+                    ("p99", h.quantile(0.99).into()),
+                    ("p999", h.quantile(0.999).into()),
+                    ("mean", float(h.mean(), 1)),
+                    ("max", h.max().into()),
+                ])
+            };
+            let mut block = vec![
+                ("mix", kv.mix.as_str().into()),
+                ("skew", float(kv.skew, 2)),
+                ("keys", kv.keys.into()),
+                ("requests", kv.lat.requests().into()),
+                ("requests_per_kcycle", float(kv.requests_per_kcycle, 4)),
+                ("get", latency(&kv.lat.get)),
+                ("put", latency(&kv.lat.put)),
+            ];
+            if let Some(f) = &kv.fault {
+                block.push((
+                    "fault",
+                    Json::object([
+                        ("rate_permille", f.rate_permille.into()),
+                        ("retransmits", f.retransmits.into()),
+                        ("sent", f.sent.into()),
+                    ]),
+                ));
+            }
+            fields.push(("kv", Json::object(block)));
+        }
+        Json::object(fields)
     }
 }
 
@@ -103,152 +352,125 @@ pub fn hostname() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// JSON string literal with the required escapes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Sweep shape + provenance for a report header.
-#[derive(Clone, Debug)]
-pub struct SweepMeta {
-    /// Which figure/sweep the report covers, e.g. `"figure3"`.
-    pub figure: String,
-    /// Simulated machine size.
-    pub nodes: usize,
-    /// Data-set divisor.
-    pub scale: usize,
-    /// Sweep worker threads.
-    pub jobs: usize,
-    /// Wall-timing repeats per point (min-of-N).
-    pub repeat: usize,
-    /// Interconnect model the sweep ran under.
-    pub topology: Topology,
-    /// Wall seconds for the whole sweep.
-    pub total_wall_secs: f64,
-}
-
-/// Writes a sweep report to `path`, creating parent directories. The
-/// header records the sweep shape plus provenance (`git_rev`, `host`,
-/// and every [`SweepMeta`] field) so snapshots are attributable and
-/// wall-clock rates can be compared like-for-like across PRs.
-pub fn write_report(path: &Path, meta: &SweepMeta, points: &[PointRecord]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"figure\": {},", escape(&meta.figure))?;
-    writeln!(f, "  \"git_rev\": {},", escape(&git_rev()))?;
-    writeln!(f, "  \"host\": {},", escape(&hostname()))?;
-    writeln!(f, "  \"nodes\": {},", meta.nodes)?;
-    writeln!(f, "  \"scale\": {},", meta.scale)?;
-    writeln!(f, "  \"jobs\": {},", meta.jobs)?;
-    writeln!(f, "  \"repeat\": {},", meta.repeat)?;
-    writeln!(f, "  \"topology\": {},", escape(&meta.topology.as_string()))?;
-    writeln!(f, "  \"total_wall_secs\": {:.6},", meta.total_wall_secs)?;
-    writeln!(f, "  \"points\": [")?;
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 == points.len() { "" } else { "," };
-        writeln!(f, "{}{sep}", p.to_json())?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tt_base::stats::Report;
+    use tt_base::Cycles;
+
+    fn run(cycles: u64, wall_secs: f64, ops: u64) -> RunOutcome {
+        RunOutcome {
+            cycles: Cycles::new(cycles),
+            report: Report::default(),
+            lat: None,
+            wall_secs,
+            ops,
+            peak_bytes: 0,
+            allocs: 0,
+        }
+    }
 
     #[test]
     fn rates_are_derived() {
-        let p = PointRecord {
-            point: "x".into(),
-            system: "s".into(),
-            cycles: 1000,
-            wall_secs: 0.5,
-            ops: 200,
-            extra: None,
-        };
+        let p = PointRecord::new("x".into(), "s", &run(1000, 0.5, 200));
         assert_eq!(p.sim_cycles_per_sec(), 2000.0);
         assert_eq!(p.ops_per_sec(), 400.0);
     }
 
     #[test]
     fn zero_wall_time_does_not_divide_by_zero() {
-        let p = PointRecord {
-            point: "x".into(),
-            system: "s".into(),
-            cycles: 1000,
-            wall_secs: 0.0,
-            ops: 200,
-            extra: None,
-        };
+        let p = PointRecord::new("x".into(), "s", &run(1000, 0.0, 200));
         assert_eq!(p.sim_cycles_per_sec(), 0.0);
         assert_eq!(p.ops_per_sec(), 0.0);
     }
 
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(escape("tab\there"), "\"tab\\u0009here\"");
+    fn strings_are_escaped() {
+        assert_eq!(Json::from("a\"b\\c").render(), "\"a\\\"b\\\\c\"");
+        assert_eq!(Json::from("tab\there").render(), "\"tab\\u0009here\"");
     }
 
     #[test]
-    fn report_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join("tt_bench_json_test");
-        let path = dir.join("report.json");
-        let points = vec![
-            PointRecord {
-                point: "em3d small/4K".into(),
-                system: "DirNNB".into(),
-                cycles: 42,
-                wall_secs: 0.001,
-                ops: 7,
-                extra: None,
-            },
-            PointRecord {
-                point: "em3d small/4K".into(),
-                system: "Typhoon/Stache".into(),
-                cycles: 42,
-                wall_secs: 0.001,
-                ops: 7,
-                extra: Some("\"kv\": {\"p99\": 123}".into()),
-            },
-        ];
-        let meta = SweepMeta {
-            figure: "figure3".into(),
+    fn depth_0_and_1_go_one_entry_per_line_deeper_stays_inline() {
+        let v = Json::object([
+            ("a", 1u64.into()),
+            (
+                "b",
+                Json::Array(vec![Json::object([("x", Json::Float(0.5, 2))]), Json::Null]),
+            ),
+            (
+                "c",
+                Json::object([(
+                    "d",
+                    Json::object([("e", true.into()), ("f", None::<u64>.into())]),
+                )]),
+            ),
+            ("g", Json::Array(vec![])),
+        ]);
+        assert_eq!(
+            v.render(),
+            "{\n  \"a\": 1,\n  \"b\": [\n    {\"x\": 0.50},\n    null\n  ],\n  \
+             \"c\": {\n    \"d\": {\"e\": true, \"f\": null}\n  },\n  \"g\": []\n}"
+        );
+    }
+
+    /// `p` as a sweep report lays it out: one line inside `points`.
+    fn report_line(p: &PointRecord) -> String {
+        let report = Json::object([("points", Json::Array(vec![p.to_json()]))]);
+        report
+            .render()
+            .lines()
+            .nth(2)
+            .unwrap()
+            .trim_start()
+            .to_string()
+    }
+
+    #[test]
+    fn point_records_render_their_blocks_inline() {
+        let mut p = PointRecord::new("em3d small/4K".into(), "DirNNB", &run(42, 0.001, 7));
+        assert_eq!(
+            report_line(&p),
+            "{\"point\": \"em3d small/4K\", \"system\": \"DirNNB\", \"cycles\": 42, \
+             \"wall_secs\": 0.001000, \"ops\": 7, \"sim_cycles_per_sec\": 42000.0, \
+             \"ops_per_sec\": 7000.0}"
+        );
+        p.cost = Some(Cost {
             nodes: 8,
-            scale: 64,
-            jobs: 2,
-            repeat: 3,
-            topology: Topology::Mesh2D { width: 0 },
-            total_wall_secs: 0.123,
-        };
-        write_report(&path, &meta, &points).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"figure\": \"figure3\""));
-        assert!(text.contains("\"topology\": \"mesh\""));
-        assert!(text.contains("\"cycles\": 42"));
-        assert!(text.contains("\"jobs\": 2"));
-        assert!(text.contains("\"repeat\": 3"));
-        assert!(text.contains("\"ops_per_sec\": 7000.0}"), "no extra, no trailing fields");
-        assert!(text.contains(", \"kv\": {\"p99\": 123}}"));
-        assert!(text.contains("\"git_rev\": "));
-        assert!(text.contains("\"host\": "));
+            peak_bytes: 800,
+            allocs: 3,
+        });
+        p.kv = Some(KvRecord {
+            mix: "95/5".into(),
+            skew: 0.9,
+            keys: 512,
+            requests_per_kcycle: 2.0,
+            lat: KvLatency::default(),
+            fault: Some(FaultRecord {
+                rate_permille: 10,
+                retransmits: 4,
+                sent: 9,
+            }),
+        });
+        let text = report_line(&p);
+        assert!(text.contains(
+            ", \"cost\": {\"us_per_node_kilocycle\": 2976.1905, \"peak_bytes\": 800, \
+             \"bytes_per_node\": 100, \"allocs\": 3}, \"kv\": {\"mix\": \"95/5\""
+        ));
+        assert!(
+            text.ends_with("\"fault\": {\"rate_permille\": 10, \"retransmits\": 4, \"sent\": 9}}}")
+        );
+    }
+
+    #[test]
+    fn write_creates_directories_and_ends_with_a_newline() {
+        let dir = std::env::temp_dir().join("tt_bench_json_test");
+        let path = dir.join("sub").join("report.json");
+        Json::object([("k", "v".into())]).write(&path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\n  \"k\": \"v\"\n}\n"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,8 +45,10 @@ use tt_apps::em3d::{Em3d, Em3dParams, SyncMode};
 use tt_apps::mp3d::{Mp3d, Mp3dParams};
 use tt_apps::ocean::{Ocean, OceanParams};
 use tt_apps::{AppId, DataSet, PhasedWorkload};
+use json::{Cost, PointRecord};
 use tt_dirnnb::DirnnbMachine;
 use tt_stache::{Em3dUpdateProtocol, StacheProtocol};
+use tt_serve::KvLatency;
 use tt_typhoon::TyphoonMachine;
 
 /// The three systems of the paper's evaluation.
@@ -72,13 +74,16 @@ impl System {
     }
 }
 
-/// Outcome of one simulation run.
+/// The one record of a simulation run: the simulated result plus the
+/// host cost of producing it (see [`measure`]).
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
     /// Execution time.
     pub cycles: Cycles,
     /// Machine/protocol statistics.
     pub report: Report,
+    /// KV request latencies (`None` for application runs).
+    pub lat: Option<KvLatency>,
     /// Host wall-clock seconds the run took.
     pub wall_secs: f64,
     /// Workload ops the simulated CPUs executed (`cpu.ops`).
@@ -88,32 +93,6 @@ pub struct RunOutcome {
     pub peak_bytes: u64,
     /// Heap allocation events during the run (same caveat).
     pub allocs: u64,
-}
-
-/// Simulator throughput of one run: the host-side cost of a simulation,
-/// as opposed to the simulated result.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RunStats {
-    /// Host wall-clock seconds.
-    pub wall_secs: f64,
-    /// Workload ops executed by the simulated CPUs.
-    pub ops: u64,
-    /// Heap high-water mark over the run (see [`RunOutcome::peak_bytes`]).
-    pub peak_bytes: u64,
-    /// Heap allocation events during the run.
-    pub allocs: u64,
-}
-
-impl RunStats {
-    /// Condenses a [`RunOutcome`]'s host-side throughput fields.
-    pub fn of(out: &RunOutcome) -> RunStats {
-        RunStats {
-            wall_secs: out.wall_secs,
-            ops: out.ops,
-            peak_bytes: out.peak_bytes,
-            allocs: out.allocs,
-        }
-    }
 }
 
 /// Builds one of the five applications at a Table 3 data set, divided by
@@ -164,36 +143,21 @@ pub fn build_app(
     }
 }
 
-/// Runs a workload on the chosen system, measuring host wall time.
-pub fn run_system(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> RunOutcome {
+/// Runs `sim` once and takes its host measurements: wall time, heap
+/// high-water mark and allocation count around the call, and `cpu.ops`
+/// from its report. `sim` returns the simulated cycles, the report and,
+/// for KV runs, the request latencies.
+pub fn measure(sim: impl FnOnce() -> (Cycles, Report, Option<KvLatency>)) -> RunOutcome {
     tt_base::alloc_stats::reset_peak();
     let allocs_before = tt_base::alloc_stats::alloc_count();
     let start = Instant::now();
-    let (cycles, report) = match system {
-        System::Dirnnb => {
-            let r = DirnnbMachine::new(cfg.clone(), workload).run();
-            (r.cycles, r.report)
-        }
-        System::TyphoonStache => {
-            let r = TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
-                Box::new(StacheProtocol::new(id, layout, cfg))
-            })
-            .run();
-            (r.cycles, r.report)
-        }
-        System::TyphoonUpdate => {
-            let r = TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
-                Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
-            })
-            .run();
-            (r.cycles, r.report)
-        }
-    };
+    let (cycles, report, lat) = sim();
     let wall_secs = start.elapsed().as_secs_f64();
     let ops = report.get("cpu.ops").unwrap_or(0.0) as u64;
     RunOutcome {
         cycles,
         report,
+        lat,
         wall_secs,
         ops,
         peak_bytes: tt_base::alloc_stats::peak_bytes(),
@@ -201,17 +165,41 @@ pub fn run_system(system: System, cfg: &SystemConfig, workload: Box<dyn Workload
     }
 }
 
+/// Runs a workload on the chosen system, measuring host wall time.
+pub fn run_system(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> RunOutcome {
+    measure(|| match system {
+        System::Dirnnb => {
+            let r = DirnnbMachine::new(cfg.clone(), workload).run();
+            (r.cycles, r.report, None)
+        }
+        System::TyphoonStache => {
+            let r = TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
+                Box::new(StacheProtocol::new(id, layout, cfg))
+            })
+            .run();
+            (r.cycles, r.report, None)
+        }
+        System::TyphoonUpdate => {
+            let r = TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
+                Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
+            })
+            .run();
+            (r.cycles, r.report, None)
+        }
+    })
+}
+
 /// Runs `run` `repeat` times (at least once), asserting the simulated
-/// cycle count is identical across repeats — the simulation is
-/// deterministic, so any divergence is a bug — and keeping the outcome
-/// with the smallest wall time. Min-of-N is the standard way to take a
-/// wall-clock measurement on a machine with background noise.
+/// cycle count and any KV latencies are identical across repeats — the
+/// simulation is deterministic, so any divergence is a bug — and keeping
+/// the outcome with the smallest wall time. Min-of-N is the standard way
+/// to take a wall-clock measurement on a machine with background noise.
 pub fn min_of_runs(repeat: usize, run: impl Fn() -> RunOutcome) -> RunOutcome {
     let mut best = run();
     for _ in 1..repeat.max(1) {
         let out = run();
-        assert_eq!(
-            best.cycles, out.cycles,
+        assert!(
+            best.cycles == out.cycles && best.lat == out.lat,
             "repeated run diverged: simulation is not deterministic"
         );
         if out.wall_secs < best.wall_secs {
@@ -219,17 +207,6 @@ pub fn min_of_runs(repeat: usize, run: impl Fn() -> RunOutcome) -> RunOutcome {
         }
     }
     best
-}
-
-/// [`run_system`] repeated `repeat` times (min-of-N wall time); `build`
-/// constructs a fresh workload for each repeat.
-pub fn run_system_min(
-    system: System,
-    cfg: &SystemConfig,
-    repeat: usize,
-    build: impl Fn() -> Box<dyn Workload>,
-) -> RunOutcome {
-    min_of_runs(repeat, || run_system(system, cfg, build()))
 }
 
 /// The sync mode an app must use on a system (only EM3D on
@@ -255,10 +232,11 @@ pub struct Figure3Point {
     pub typhoon: Cycles,
     /// DirNNB execution time.
     pub dirnnb: Cycles,
-    /// Host-side throughput of the Typhoon/Stache run.
-    pub typhoon_stats: RunStats,
-    /// Host-side throughput of the DirNNB run.
-    pub dirnnb_stats: RunStats,
+    /// The `--json` records of the Typhoon/Stache and DirNNB runs, with
+    /// their `cost` blocks. A point keeps records, not whole
+    /// [`RunOutcome`]s, so earlier runs' reports do not inflate a later
+    /// run's heap peak.
+    pub records: [PointRecord; 2],
 }
 
 impl Figure3Point {
@@ -290,20 +268,24 @@ pub fn figure3_point(
 ) -> Figure3Point {
     let mut cfg = cfg_base.clone();
     cfg.cpu.cache_bytes = cache_bytes;
-    let typhoon = run_system_min(System::TyphoonStache, &cfg, repeat, || {
-        build_app(app, set, scale, cfg.nodes, sync_for(app, System::TyphoonStache))
-    });
-    let dirnnb = run_system_min(System::Dirnnb, &cfg, repeat, || {
-        build_app(app, set, scale, cfg.nodes, sync_for(app, System::Dirnnb))
-    });
+    let run = |system| {
+        let out = min_of_runs(repeat, || {
+            run_system(system, &cfg, build_app(app, set, scale, cfg.nodes, sync_for(app, system)))
+        });
+        let cost = Cost { nodes: cfg.nodes, peak_bytes: out.peak_bytes, allocs: out.allocs };
+        let point = format!("{app} {set}/{}K", cache_bytes / 1024);
+        let record = PointRecord::new(point, system.name(), &out);
+        (out.cycles, PointRecord { cost: Some(cost), ..record })
+    };
+    let (typhoon, typhoon_record) = run(System::TyphoonStache);
+    let (dirnnb, dirnnb_record) = run(System::Dirnnb);
     Figure3Point {
         app,
         set,
         cache_bytes,
-        typhoon: typhoon.cycles,
-        dirnnb: dirnnb.cycles,
-        typhoon_stats: RunStats::of(&typhoon),
-        dirnnb_stats: RunStats::of(&dirnnb),
+        typhoon,
+        dirnnb,
+        records: [typhoon_record, dirnnb_record],
     }
 }
 
@@ -342,8 +324,8 @@ pub struct Figure4Point {
     pub cycles_per_edge: [f64; 3],
     /// Raw execution time per system (same order).
     pub cycles: [Cycles; 3],
-    /// Host-side throughput per system (same order).
-    pub stats: [RunStats; 3],
+    /// The `--json` record per system (same order).
+    pub records: [PointRecord; 3],
 }
 
 /// The three systems of a Figure 4 point, in column order.
@@ -372,15 +354,11 @@ pub fn figure4_point(
         let denom = (app.total_edges() * p.iterations) as f64;
         (Box::new(PhasedWorkload::new(app)), denom)
     };
-    let mut cpe = [0.0f64; 3];
+    let mut cycles_per_edge = [0.0f64; 3];
     let mut cycles = [Cycles::ZERO; 3];
-    let mut stats = [RunStats::default(); 3];
-    for (i, system) in FIGURE4_SYSTEMS.into_iter().enumerate() {
-        let sync = if system == System::TyphoonUpdate {
-            SyncMode::Flush
-        } else {
-            SyncMode::Barrier
-        };
+    let records = std::array::from_fn(|i| {
+        let system = FIGURE4_SYSTEMS[i];
+        let sync = sync_for(AppId::Em3d, system);
         // Figure 4 isolates the protocol effect: the DirNNB comparator
         // gets ideal (owner) placement so all three systems coincide at
         // 0% non-local edges, and the CPU cache is large enough (256 KB)
@@ -390,15 +368,15 @@ pub fn figure4_point(
         cfg.cpu.cache_bytes = 256 * 1024;
         let (_, denom) = mk(sync);
         let out = min_of_runs(repeat, || run_system(system, &cfg, mk(sync).0));
-        cpe[i] = out.cycles.as_f64() / denom;
+        cycles_per_edge[i] = out.cycles.as_f64() / denom;
         cycles[i] = out.cycles;
-        stats[i] = RunStats::of(&out);
-    }
+        PointRecord::new(format!("{:.0}% remote", pct_remote * 100.0), system.name(), &out)
+    });
     Figure4Point {
         pct_remote,
-        cycles_per_edge: cpe,
+        cycles_per_edge,
         cycles,
-        stats,
+        records,
     }
 }
 
@@ -488,6 +466,7 @@ mod tests {
             RunOutcome {
                 cycles: Cycles::new(42),
                 report: Report::default(),
+                lat: None,
                 wall_secs: wall,
                 ops: 7,
                 peak_bytes: 0,
@@ -508,6 +487,7 @@ mod tests {
             RunOutcome {
                 cycles: Cycles::new(calls.get()),
                 report: Report::default(),
+                lat: None,
                 wall_secs: 1.0,
                 ops: 0,
                 peak_bytes: 0,

@@ -606,11 +606,6 @@ impl Network {
         self.faults = Some(FaultPlan::new(spec, nodes));
     }
 
-    /// The installed fault schedule, if any.
-    pub fn fault_spec(&self) -> Option<&FaultSpec> {
-        self.faults.as_ref().map(|f| &f.spec)
-    }
-
     /// The configured one-way latency (the ideal pipe's constant).
     pub fn latency(&self) -> Cycles {
         self.latency

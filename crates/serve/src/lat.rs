@@ -34,6 +34,12 @@ impl KvLatency {
     pub fn requests(&self) -> u64 {
         self.get.total() + self.put.total()
     }
+
+    /// Requests served per thousand simulated cycles over a run of
+    /// `cycles`.
+    pub fn requests_per_kcycle(&self, cycles: Cycles) -> f64 {
+        self.requests() as f64 * 1000.0 / cycles.raw() as f64
+    }
 }
 
 /// The run-wide collector a protocol factory closure captures.

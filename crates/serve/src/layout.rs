@@ -119,12 +119,6 @@ impl KvLayout {
         VAddr::new(self.staging_base + node.raw() as u64 * PAGE_BYTES as u64)
     }
 
-    /// True if `addr` falls in a KV slot page (as opposed to staging or
-    /// some other region).
-    pub fn is_slot_addr(&self, addr: VAddr) -> bool {
-        addr.raw() >= SHARED_SEGMENT_BASE && addr.raw() < self.staging_base
-    }
-
     /// The shared-segment layout: slot pages (mode [`KV_MODE`]) followed
     /// by one staging page per node (mode 0), both cyclically homed —
     /// staging page `i` lands on node `i` exactly because the staging

@@ -48,7 +48,7 @@ pub struct KvOutcome {
 impl KvOutcome {
     /// Requests served per thousand simulated cycles (all nodes).
     pub fn requests_per_kcycle(&self) -> f64 {
-        self.lat.requests() as f64 * 1000.0 / self.cycles.raw() as f64
+        self.lat.requests_per_kcycle(self.cycles)
     }
 }
 

@@ -23,9 +23,46 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> figure3 smoke (--scale 64 --nodes 8 --jobs 2)"
+# Every crate and binary must document to its own path: two targets that
+# share a doc directory overwrite each other's pages.
+echo "==> cargo doc --workspace --no-deps (no output filename collision)"
+cargo doc --workspace --no-deps >/tmp/tt_doc.txt 2>&1 || { cat /tmp/tt_doc.txt; exit 1; }
+if grep -q "output filename collision" /tmp/tt_doc.txt; then
+    grep "output filename collision" /tmp/tt_doc.txt
+    echo "FAIL: cargo doc output filename collision"
+    exit 1
+fi
+rm -f /tmp/tt_doc.txt
+
+# Checks a written --json sweep report against the record schema
+# documented in crates/bench/src/json.rs: every point has string `point`
+# and `system` and integer `cycles`; figure3 points carry
+# `cost.bytes_per_node`; lossy kv_bench points carry `kv.get.p99` and
+# `kv.fault.retransmits`.
+check_json_points() {
+    python3 - "$1" "$2" <<'PY'
+import json, sys
+path, kind = sys.argv[1], sys.argv[2]
+points = json.load(open(path))["points"]
+assert points, f"{path}: no points"
+is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+for p in points:
+    assert isinstance(p["point"], str) and isinstance(p["system"], str), p
+    assert is_int(p["cycles"]), p
+    if kind == "figure3":
+        assert is_int(p["cost"]["bytes_per_node"]), p
+    else:
+        assert is_int(p["kv"]["get"]["p99"]), p
+        assert is_int(p["kv"]["fault"]["retransmits"]), p
+print(f"    {len(points)} {kind} points match the record schema")
+PY
+}
+
+echo "==> figure3 smoke (--scale 64 --nodes 8 --jobs 2, --json checked)"
 cargo run --release -p tt-bench --bin figure3 -- \
-    --scale 64 --nodes 8 --jobs 2 >/dev/null
+    --scale 64 --nodes 8 --jobs 2 --json /tmp/fig3_smoke.json >/dev/null
+check_json_points /tmp/fig3_smoke.json figure3
+rm -f /tmp/fig3_smoke.json
 
 # Bounded model-checking sweep (fixed seeds, well under a minute): 500
 # litmus cases under schedule perturbation must run clean on both
@@ -74,9 +111,10 @@ rm -f /tmp/kv_a.txt /tmp/kv_b.txt /tmp/kv_c.txt
 # of the transport or the event queue may not move a single cycle.
 echo "==> kv_bench lossy golden (--nodes 32 --fault-rate 10 vs results/kv_bench_32_fault10.txt)"
 cargo run --release -p tt-bench --bin kv_bench -- \
-    --nodes 32 --fault-rate 10 --jobs 1 >/tmp/kv_lossy32.txt
+    --nodes 32 --fault-rate 10 --jobs 1 --json /tmp/kv_lossy32.json >/tmp/kv_lossy32.txt
 cmp /tmp/kv_lossy32.txt results/kv_bench_32_fault10.txt
-rm -f /tmp/kv_lossy32.txt
+check_json_points /tmp/kv_lossy32.json kv_lossy
+rm -f /tmp/kv_lossy32.txt /tmp/kv_lossy32.json
 
 # Lossy-network fault fuzzing: 200 seeds with a per-seed fault schedule
 # (drops, duplicates, detected corruption, transient partitions) drawn
